@@ -47,7 +47,7 @@ from .experiments import (
     write_scatter_csvs,
     write_summary_json,
 )
-from .lattice import ExplicitLattice, NotALatticeError, SetLattice
+from .lattice import ExplicitLattice, FiniteLattice, NotALatticeError, SetLattice
 from .objectives import (
     ConcaveRho,
     GeneralizedPCAObjective,
@@ -117,7 +117,7 @@ def _load_rho(arg, data):
     return rho_from_json_dict(doc)
 
 
-def load_objective(args):
+def load_objective(args, lat):
     name = args.objective
     if name in ("pca", "gpca"):
         if not args.data:
@@ -133,7 +133,10 @@ def load_objective(args):
     if name == "table":
         if not args.table:
             raise ValueError("--objective table requires --table")
-        return TableObjective(_read_json(args.table)["values"])
+        obj = TableObjective(_read_json(args.table)["values"])
+        if isinstance(lat, FiniteLattice) and obj.values.size != lat.n:
+            raise ValueError(f"--table holds {obj.values.size} values, lattice has {lat.n} elements")
+        return obj
     raise ValueError(f"unknown objective {name!r}")
 
 
@@ -159,7 +162,7 @@ def _emit(doc: dict, args, summary: str) -> None:
 
 def cmd_greedy(args) -> int:
     lat = load_lattice(args.lattice)
-    obj = load_objective(args)
+    obj = load_objective(args, lat)
     rep = greedy_height(obj, lat, args.k,
                         strategy=strategy_from_name(args.strategy),
                         seed=args.seed)
@@ -173,7 +176,7 @@ def cmd_knapsack(args) -> int:
     lat = load_lattice(args.lattice)
     if isinstance(lat, VectorLattice):
         raise TypeError("budgeted greedy runs on finite lattices")
-    obj = load_objective(args)
+    obj = load_objective(args, lat)
     cost = _load_cost(args.cost, lat)
     rep = greedy_knapsack(obj, lat, cost, args.budget)
     _emit(rep.to_json_dict(), args,
@@ -184,7 +187,7 @@ def cmd_knapsack(args) -> int:
 
 def cmd_double_greedy(args) -> int:
     lat = load_lattice(args.lattice)
-    obj = load_objective(args)
+    obj = load_objective(args, lat)
     rep = double_greedy(obj, lat, strategy=strategy_from_name(args.strategy),
                         seed=args.seed)
     where = f"element {rep.element}" if rep.element is not None else "basis in report"
@@ -196,7 +199,7 @@ def cmd_double_greedy(args) -> int:
 
 def cmd_oracle(args) -> int:
     lat = load_lattice(args.lattice)
-    obj = load_objective(args)
+    obj = load_objective(args, lat)
     cost = _load_cost(args.cost, lat) if args.budget is not None else None
     res = brute_force_max(obj, lat, height_cap=args.k,
                           cost=cost, budget=args.budget)
@@ -208,7 +211,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_diagnose(args) -> int:
     lat = load_lattice(args.lattice)
-    obj = load_objective(args)
+    obj = load_objective(args, lat)
     directions = list(_GAP_MEASURES) if args.direction == "all" else [args.direction]
     doc: dict = {"reports": {}, "checks": {}}
     failures = []

@@ -8,7 +8,7 @@ lattices only admit sampled lower bounds, flagged as such.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -19,169 +19,147 @@ from latmax.dictionary import (
     coherence_vectors,
     enumerate_lattice,
 )
-from latmax.lattice import FiniteLattice
+from latmax.lattice import FiniteLattice, SizeLimitError
 from latmax.objectives import TableObjective
 from latmax.subspaces import Direction, Subspace, vjoin
 
 
 @dataclass
 class GapReport:
-    """Smallest additive gap for one inequality family on one instance."""
+    """Smallest additive gap for one inequality family on one instance, with
+    the configurations the scan visited and those with an empty right side."""
 
     direction: str
     measured_delta: float
     witness: dict | None = None
     exhaustive: bool = True
     excluded_triples: int = 0
+    triples_scanned: int = 0
 
     def to_json_dict(self) -> dict:
-        return {"direction": self.direction,
-                "measured_delta": self.measured_delta,
-                "witness": self.witness,
-                "exhaustive": self.exhaustive,
-                "excluded_triples": self.excluded_triples}
+        return asdict(self)
 
 
 def _values(obj, lat):
     return np.array([obj.value(lat, e) for e in range(lat.n)])
 
 
-def _leq_matrix(lat):
-    return np.array([[lat.leq(i, j) for j in range(lat.n)]
-                     for i in range(lat.n)])
-
-
 def _marginals(lat, vals):
     """marg[i, X] for irreducible index i admissible to X, else NaN."""
-    irr = lat.join_irreducibles()
-    jt = lat.join_table()
-    m = np.full((len(irr), lat.n), np.nan)
-    adm = np.zeros((len(irr), lat.n), dtype=bool)
-    for i, a in enumerate(irr):
-        for x in range(lat.n):
-            if lat.is_admissible(a, x):
-                adm[i, x] = True
-                m[i, x] = vals[jt[a, x]] - vals[x]
-    return irr, m, adm
+    steps = lat.steps
+    adm = steps >= 0
+    return lat.join_irreducibles(), np.where(adm, vals[steps] - vals, np.nan), adm
+
+
+def _scan_inputs(obj, lat: FiniteLattice, cap: int = 4096):
+    """Inputs shared by the scans; refused above ``cap`` elements, before any table."""
+    if lat.n > cap:
+        raise SizeLimitError(f"{lat.n} elements exceed the gap-scan cap {cap}")
+    vals = _values(obj, lat)
+    irr, m, adm = _marginals(lat, vals)
+    leq = lat.leq_matrix()
+    return vals, irr, m, adm, leq, leq[np.ix_(irr, irr)]
 
 
 def measure_strong_gap(obj, lat: FiniteLattice) -> GapReport:
     """Worst violation of: one-step gains shrink when both the base and
     the step grow. Scans X <= Y, a admissible to X, b admissible to Y,
     a <= b."""
-    vals = _values(obj, lat)
-    irr, m, adm = _marginals(lat, vals)
-    leq = _leq_matrix(lat)
-    worst, witness = -np.inf, None
+    _, irr, m, adm, leq, above = _scan_inputs(obj, lat)
+    base = np.where(adm, m, np.inf)
+    gain = np.where(adm, m, -np.inf)
+    worst, witness, scanned = -np.inf, None, 0
     for ia, a in enumerate(irr):
         # smallest gain of a over bases X <= Y, per Y
-        base = np.where(adm[ia], m[ia], np.inf)
-        low = np.where(leq, base[:, None], np.inf).min(axis=0)  # indexed by Y
-        for ib, b in enumerate(irr):
-            if not lat.leq(a, b):
-                continue
-            cand = np.where(adm[ib], m[ib], -np.inf) - low
-            y = int(np.argmax(cand))
-            if cand[y] > worst and np.isfinite(cand[y]):
-                worst = float(cand[y])
-                x = int(np.argmin(np.where(leq[:, y], base, np.inf)))
-                witness = {"X": x, "Y": y, "a": int(a), "b": int(b),
-                           "violation": worst}
-    if witness is None:
-        return GapReport("strong", 0.0)
-    return GapReport("strong", max(0.0, worst), witness)
+        low = np.where(leq, base[ia][:, None], np.inf).min(axis=0)
+        # cand[b, Y] for steps b >= a; argmax keeps the first in (b, Y) order
+        cand = np.where(above[ia][:, None], gain - low, -np.inf)
+        scanned += int(leq[adm[ia]].sum(axis=0) @ adm[above[ia]].sum(axis=0))
+        k = int(np.argmax(cand))
+        if cand.flat[k] > worst and np.isfinite(cand.flat[k]):
+            worst = float(cand.flat[k])
+            ib, y = divmod(k, lat.n)
+            x = int(np.argmin(np.where(leq[:, y], base[ia], np.inf)))
+            witness = {"X": x, "Y": y, "a": int(a), "b": int(irr[ib]),
+                       "violation": worst}
+    return GapReport("strong", max(0.0, worst), witness, triples_scanned=scanned)
 
 
 def measure_downward_gap(obj, lat: FiniteLattice) -> GapReport:
     """Worst violation of: the gain of a step at Y is explained from
     below, by the best closure member whose admissible minorants at X
-    all gain at least as much."""
-    vals = _values(obj, lat)
-    irr, m, adm = _marginals(lat, vals)
-    idx = {a: i for i, a in enumerate(irr)}
-    leq = _leq_matrix(lat)
+    all gain at least as much. Scans Y, b admissible to Y, X <= Y."""
+    _, irr, m, adm, leq, above = _scan_inputs(obj, lat)
+    steps = lat.steps
     # low[i, X]: least gain among admissible minorants of irreducible i at X;
-    # +inf marks an empty minorant set (that closure member is skipped)
-    low = np.full((len(irr), lat.n), np.inf)
-    for ibp, bp in enumerate(irr):
-        below = np.array([lat.leq(a, bp) for a in irr])
-        low[ibp] = np.where(below[:, None] & adm, m, np.inf).min(axis=0)
+    # -inf marks an empty minorant set (that closure member is skipped)
+    gains = np.where(adm, m, np.inf)
+    low = np.empty_like(gains)
+    for ibp in range(len(irr)):
+        low[ibp] = gains[above[:, ibp]].min(axis=0, initial=np.inf)
+    low[~np.isfinite(low)] = -np.inf
     worst, witness, excluded = -np.inf, None, 0
     for y in range(lat.n):
+        bs = np.flatnonzero(adm[:, y])
+        if not bs.size:
+            continue
         xs = np.flatnonzero(leq[:, y])
-        for b in irr:
-            if not adm[idx[b], y]:
-                continue
-            lhs = m[idx[b], y]
-            cl = np.array([idx[bp] for bp in lat.closure_of(b, y)])
-            sub = low[cl][:, xs]
-            feasible = np.isfinite(sub)
-            covered = feasible.any(axis=0)
-            excluded += int((~covered).sum())
-            if not covered.any():
-                continue
-            rhs = np.where(feasible, sub, -np.inf).max(axis=0)
-            viol = lhs - rhs
-            viol[~covered] = -np.inf
-            k = int(np.argmax(viol))
-            if viol[k] > worst:
-                worst = float(viol[k])
-                witness = {"X": int(xs[k]), "Y": y, "b": int(b),
-                           "lhs_marginal": float(lhs),
-                           "rhs_maxmin": float(rhs[k]),
-                           "violation": worst}
-    if witness is None:
-        return GapReport("downward", 0.0, excluded_triples=excluded)
+        # rhs[b, X]: best member of the closure of b at Y (same join with Y)
+        closure = steps[bs, y][:, None] == steps[bs, y]
+        rhs = np.where(closure[:, :, None], low[np.ix_(bs, xs)], -np.inf).max(axis=1)
+        covered = rhs > -np.inf
+        excluded += int((~covered).sum())
+        viol = np.where(covered, m[bs, y][:, None] - rhs, -np.inf)
+        k = int(np.argmax(viol))
+        if viol.flat[k] > worst:
+            worst = float(viol.flat[k])
+            ib, ix = divmod(k, xs.size)
+            witness = {"X": int(xs[ix]), "Y": y, "b": int(irr[bs[ib]]),
+                       "lhs_marginal": float(m[bs[ib], y]),
+                       "rhs_maxmin": float(rhs[ib, ix]),
+                       "violation": worst}
+    scanned = int((adm.sum(axis=0) * leq.sum(axis=0)).sum())
     return GapReport("downward", max(0.0, worst), witness,
-                     excluded_triples=excluded)
+                     excluded_triples=excluded, triples_scanned=scanned)
 
 
 def measure_upward_gap(obj, lat: FiniteLattice) -> GapReport:
     """Worst violation of: the gain of a step at X is not beaten by the
-    cheapest completion of any larger step into a target above X join a."""
-    vals = _values(obj, lat)
-    irr, m, adm = _marginals(lat, vals)
-    idx = {a: i for i, a in enumerate(irr)}
-    jt = np.asarray(lat.join_table())
-    leq = _leq_matrix(lat)
-    above = np.array([[lat.leq(a, b) for b in irr] for a in irr])
+    cheapest completion of any larger step into a target above X join a.
+    Scans X, a admissible to X, Y >= X join a."""
+    vals, irr, m, adm, leq, above = _scan_inputs(obj, lat)
+    steps = lat.steps
     worst, witness, excluded = -np.inf, None, 0
     for x in range(lat.n):
+        as_ = np.flatnonzero(adm[:, x])
+        if not as_.size:
+            continue
+        up = np.flatnonzero(leq[x])
         # best[i, Y]: largest f over feet Y0 >= X from which irreducible i
-        # completes to Y; -inf marks no such foot
-        best = np.full((len(irr), lat.n), -np.inf)
-        for ib, b in enumerate(irr):
-            feet = leq[x] & adm[ib]
-            if feet.any():
-                np.maximum.at(best[ib], jt[b, feet], vals[feet])
-        for a in irr:
-            ia = idx[a]
-            if not adm[ia, x]:
-                continue
-            lhs = m[ia, x]
-            ys = np.flatnonzero(leq[jt[a, x]])
-            sub = best[above[ia]][:, ys]
-            has_foot = np.isfinite(sub)
-            covered = has_foot.any(axis=0)
-            excluded += int((~covered).sum())
-            if not covered.any():
-                continue
-            inner = vals[ys][None, :] - sub
-            inner[~has_foot] = -np.inf
-            rhs = inner.max(axis=0)
-            viol = rhs - lhs
-            viol[~covered] = -np.inf
-            k = int(np.argmax(viol))
-            if viol[k] > worst:
-                worst = float(viol[k])
-                witness = {"X": x, "a": int(a), "Y": int(ys[k]),
-                           "lhs_marginal": float(lhs),
-                           "rhs_maxmin": float(rhs[k]),
-                           "violation": worst}
-    if witness is None:
-        return GapReport("upward", 0.0, excluded_triples=excluded)
+        # completes to Y, over the Y >= X; -inf marks no such foot
+        best = np.full((len(irr), up.size), -np.inf)
+        rows, feet = np.nonzero(adm[:, up])
+        np.maximum.at(best, (rows, np.searchsorted(up, steps[rows, up[feet]])),
+                      vals[up[feet]])
+        # inner[a, b, Y]: completion cost of step b >= a from its best foot
+        has_foot = above[as_][:, :, None] & np.isfinite(best)
+        inner = np.where(has_foot, vals[up] - best, -np.inf)
+        rhs = inner.max(axis=1)
+        targets = leq[steps[as_, x]][:, up]
+        covered = has_foot.any(axis=1)
+        excluded += int((targets & ~covered).sum())
+        viol = np.where(targets & covered, rhs - m[as_, x][:, None], -np.inf)
+        k = int(np.argmax(viol))
+        if viol.flat[k] > worst:
+            worst = float(viol.flat[k])
+            ia, iy = divmod(k, up.size)
+            witness = {"X": x, "a": int(irr[as_[ia]]), "Y": int(up[iy]),
+                       "lhs_marginal": float(m[as_[ia], x]),
+                       "rhs_maxmin": float(rhs[ia, iy]),
+                       "violation": worst}
+    scanned = int(leq.sum(axis=1)[steps[adm]].sum())
     return GapReport("upward", max(0.0, worst), witness,
-                     excluded_triples=excluded)
+                     excluded_triples=excluded, triples_scanned=scanned)
 
 
 def reevaluate_witness(obj, lat: FiniteLattice, report: GapReport) -> float:
@@ -190,10 +168,9 @@ def reevaluate_witness(obj, lat: FiniteLattice, report: GapReport) -> float:
     if w is None:
         raise ValueError("report carries no witness")
     vals = _values(obj, lat)
-    jt = lat.join_table()
     if report.direction == "strong":
-        up_a = vals[jt[w["a"], w["X"]]] - vals[w["X"]]
-        up_b = vals[jt[w["b"], w["Y"]]] - vals[w["Y"]]
+        up_a = vals[lat.join(w["a"], w["X"])] - vals[w["X"]]
+        up_b = vals[lat.join(w["b"], w["Y"])] - vals[w["Y"]]
         return float(up_b - up_a)
     irr, m, adm = _marginals(lat, vals)
     idx = {a: i for i, a in enumerate(irr)}
@@ -214,7 +191,7 @@ def reevaluate_witness(obj, lat: FiniteLattice, report: GapReport) -> float:
             if not lat.leq(a, b):
                 continue
             cands = [vals[y] - vals[y0] for y0 in range(lat.n)
-                     if lat.leq(x, y0) and adm[idx[b], y0] and jt[b, y0] == y]
+                     if lat.leq(x, y0) and adm[idx[b], y0] and lat.join(b, y0) == y]
             if cands:
                 terms.append(min(cands))
         return float(max(terms) - m[idx[a], x])
@@ -227,10 +204,9 @@ def check_prop1_equivalence(lat: FiniteLattice, trials: int, *, seed=0,
     and every closure must be a singleton."""
     if not lat.is_distributive():
         raise ValueError("equivalence check needs a distributive lattice")
-    for x in range(lat.n):
-        for a in lat.admissibles(x):
-            if lat.closure_of(a, x) != (a,):
-                return False
+    for col in lat.steps.T:
+        if np.unique(col[col >= 0]).size < (col >= 0).sum():
+            return False
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         obj = TableObjective(rng.random(lat.n))

@@ -26,7 +26,7 @@ class FiniteLattice:
 
     Generic operations (admissibility, closure, incrementality, Hasse
     edges, modularity and distributivity scans) are implemented here on
-    top of those primitives and the cached order matrix.
+    top of those primitives, the cached order matrix and the step table.
     """
 
     n: int
@@ -54,11 +54,8 @@ class FiniteLattice:
 
     @cached_property
     def _leq(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=bool)
-        for i in range(self.n):
-            for j in range(self.n):
-                m[i, j] = self.leq(i, j)
-        return m
+        # in a lattice i <= j exactly when i join j is j
+        return self.join_table() == np.arange(self.n)
 
     def leq_matrix(self) -> np.ndarray:
         out = self._leq.copy()
@@ -110,37 +107,49 @@ class FiniteLattice:
     def join_irreducibles(self) -> tuple[int, ...]:
         return self._join_irreducibles
 
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """steps[i, x]: the join of irreducible i with x when that is an
+        admissible step (irreducible i not below x, everything strictly
+        below it below x), else -1."""
+        leq, jt = self._leq, self.join_table()
+        out = np.full((len(self._join_irreducibles), self.n), -1, dtype=np.int64)
+        for i, a in enumerate(self._join_irreducibles):
+            below = leq[:, a] & (np.arange(self.n) != a)
+            ok = ~leq[a] & leq[below].all(axis=0)
+            out[i, ok] = jt[a, ok]
+        return out
+
+    def _step(self, a: int, x: int) -> int:
+        if not self.is_join_irreducible(a):
+            raise ValueError(f"element {a} is not join-irreducible")
+        return int(self.steps[self._join_irreducibles.index(a), x])
+
     def is_join_irreducible(self, a: int) -> bool:
-        return a in set(self._join_irreducibles)
+        return a in self._join_irreducibles
 
     def is_admissible(self, a: int, x: int) -> bool:
         """True when a is a legal unit step from x: a is join-irreducible,
         a is not below x, and every element strictly below a is below x."""
-        if not self.is_join_irreducible(a):
-            raise ValueError(f"element {a} is not join-irreducible")
-        if self._leq[a, x]:
-            return False
-        below_a = self._leq[:, a] & (np.arange(self.n) != a)
-        return bool(self._leq[below_a, x].all())
+        return self._step(a, x) >= 0
 
     def admissibles(self, x: int) -> tuple[int, ...]:
-        return tuple(a for a in self._join_irreducibles if self.is_admissible(a, x))
+        irr = self._join_irreducibles
+        return tuple(irr[i] for i in np.flatnonzero(self.steps[:, x] >= 0))
 
     def closure_of(self, a: int, x: int) -> tuple[int, ...]:
         """Admissible elements producing the same join with x as a does."""
-        if not self.is_admissible(a, x):
+        target = self._step(a, x)
+        if target < 0:
             raise ValueError(f"element {a} is not admissible to {x}")
-        target = self.join(x, a)
-        return tuple(b for b in self.admissibles(x) if self.join(x, b) == target)
+        irr = self._join_irreducibles
+        return tuple(irr[i] for i in np.flatnonzero(self.steps[:, x] == target))
 
     def incrementality(self) -> int:
         """Largest height jump a single admissible step can cause."""
-        p = 1
-        for x in range(self.n):
-            hx = self.height(x)
-            for a in self.admissibles(x):
-                p = max(p, self.height(self.join(x, a)) - hx)
-        return p
+        h, s = self.heights, self.steps
+        jumps = (h[s] - h)[s >= 0]
+        return max(1, int(jumps.max())) if jumps.size else 1
 
     def hasse_edges(self) -> list[tuple[int, int]]:
         strict = self._leq & ~np.eye(self.n, dtype=bool)
@@ -194,9 +203,6 @@ class SetLattice(FiniteLattice):
     def height(self, i):
         return int(i).bit_count()
 
-    def payload(self, i):
-        return i
-
     def label(self, i):
         return "{" + ",".join(str(k) for k in range(self.n_items) if i >> k & 1) + "}"
 
@@ -219,8 +225,21 @@ class SetLattice(FiniteLattice):
         return 1
 
     @cached_property
-    def heights(self):
-        return np.array([self.height(i) for i in range(self.n)])
+    def _leq(self):
+        # the narrowest unsigned ids keep the n x n temporary small
+        ids = np.arange(self.n, dtype=np.min_scalar_type(self.top))
+        return (ids[:, None] | ids) == ids
+
+    @cached_property
+    def _join_table(self):
+        ids = np.arange(self.n)
+        return ids[:, None] | ids
+
+    @cached_property
+    def steps(self):
+        ids = np.arange(self.n)
+        bits = 1 << np.arange(self.n_items)[:, None]
+        return np.where(ids & bits, -1, ids | bits)
 
     def to_json_dict(self) -> dict:
         return {"kind": "set", "atoms": list(range(self.n_items)), "tolerance": 0.0}

@@ -161,8 +161,8 @@ class PCAObjective:
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=float)
-        if self.data.ndim != 2:
-            raise ValueError("data must be (n_rows, d)")
+        if self.data.ndim != 2 or not np.isfinite(self.data).all():
+            raise ValueError("data must be a finite (n_rows, d) array")
         self.total_energy = float((self.data ** 2).sum())
 
     @property
@@ -229,14 +229,16 @@ class WeightedDigraph:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] == 0:
-            raise ValueError("vertices must be a nonempty (n, d) array")
+        if v.ndim != 2 or v.shape[0] == 0 or not np.isfinite(v).all():
+            raise ValueError("vertices must be a nonempty, finite (n, d) array")
         es = []
         for i, j, c in self.edges:
-            i, j = int(i), int(j)
+            i, j, c = int(i), int(j), float(c)
             if not (0 <= i < v.shape[0] and 0 <= j < v.shape[0]):
                 raise ValueError(f"edge ({i},{j}) references a missing vertex")
-            es.append((i, j, float(c)))
+            if not np.isfinite(c):
+                raise ValueError(f"edge ({i},{j}) has a non-finite weight")
+            es.append((i, j, c))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "edges", tuple(es))
 
@@ -319,6 +321,8 @@ class TableObjective:
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=float)
+        if not np.isfinite(self.values).all():
+            raise ValueError("table values must be finite")
 
     def value(self, lat: FiniteLattice, e) -> float:
         return float(self.values[e])
@@ -360,9 +364,6 @@ class ModularCost:
     def uniform(cls, lat, step=1.0, base=0.0) -> "ModularCost":
         """Height cost when every irreducible step costs the same."""
         return cls(lat, {a: step for a in lat.join_irreducibles()}, base)
-
-    def step_cost(self, a) -> float:
-        return self.increments[int(a)]
 
     def of(self, e) -> float:
         lat = self.lat

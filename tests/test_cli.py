@@ -157,3 +157,61 @@ class TestUsageErrors:
                    "--strategy", "simulated-annealing"])
         assert rc == 2
         assert "unknown strategy" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with one `error:` line, never a traceback;
+    exit 1 stays reserved for diagnose gate failures."""
+
+    @staticmethod
+    def _one_error_line(capsys, *words):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        for w in words:
+            assert w in err
+
+    def test_diagnose_refuses_lattices_above_the_scan_cap(self, tmp_path, capsys):
+        table = tmp_path / "zeros.json"
+        table.write_text(json.dumps({"values": [0.0] * (1 << 13)}))
+        rc = main(["diagnose", "--objective", "table", "--lattice", "set:13",
+                   "--table", str(table)])
+        assert rc == 2
+        self._one_error_line(capsys, "8192 elements", "cap 4096")
+
+    @pytest.mark.parametrize("command", [["greedy", "--k", "1"], ["diagnose"]])
+    def test_table_shorter_than_lattice(self, command, tmp_path, capsys):
+        table = tmp_path / "short.json"
+        table.write_text(json.dumps({"values": [0.0, 1.0, 2.0]}))
+        rc = main([command[0], "--objective", "table", "--lattice", "set:3",
+                   "--table", str(table), *command[1:]])
+        assert rc == 2
+        self._one_error_line(capsys, "3 values", "8 elements")
+
+    def test_non_finite_table_value(self, tmp_path, capsys):
+        table = tmp_path / "nan.json"
+        table.write_text('{"values": [0.0, NaN, 1.0, 2.0]}')
+        rc = main(["greedy", "--objective", "table", "--lattice", "set:2",
+                   "--table", str(table), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, "finite")
+
+    def test_non_finite_data_row(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("1.0,0.0,0.0\nnan,1.0,0.0\n0.0,0.0,1.0\n")
+        rc = main(["greedy", "--objective", "pca", "--lattice", "vector:3",
+                   "--data", str(path), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, "finite")
+
+    @pytest.mark.parametrize("vertices, weight", [
+        ([[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]], 1.0),
+        (np.eye(3).tolist(), float("inf")),
+    ])
+    def test_non_finite_graph(self, vertices, weight, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": vertices,
+                                    "edges": [[0, 1, weight], [1, 2, 1.0]]}))
+        rc = main(["double-greedy", "--objective", "cut", "--lattice", "set:3",
+                   "--graph", str(path)])
+        assert rc == 2
+        self._one_error_line(capsys, "finite")

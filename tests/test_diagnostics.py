@@ -14,7 +14,7 @@ from latmax.diagnostics import (
     sample_strong_gap_vector,
 )
 from latmax.dictionary import Dictionary, enumerate_lattice
-from latmax.lattice import SetLattice
+from latmax.lattice import SetLattice, SizeLimitError
 from latmax.objectives import (
     ConcaveRho,
     GeneralizedPCAObjective,
@@ -27,8 +27,9 @@ from test_dictionary import skew_quad, tilted_pair
 
 
 def slow_strong_gap(obj, lat):
-    """Reference: four explicit nested loops, no marginal matrix."""
-    worst = 0.0
+    """Reference: four explicit nested loops, no marginal matrix. Returns
+    the gap and the number of (X, Y, a, b) configurations visited."""
+    worst, visited = 0.0, 0
     for x in range(lat.n):
         for y in range(lat.n):
             if not lat.leq(x, y):
@@ -37,15 +38,17 @@ def slow_strong_gap(obj, lat):
                 for b in lat.admissibles(y):
                     if not lat.leq(a, b):
                         continue
+                    visited += 1
                     up_a = obj.value(lat, lat.join(a, x)) - obj.value(lat, x)
                     up_b = obj.value(lat, lat.join(b, y)) - obj.value(lat, y)
                     worst = max(worst, up_b - up_a)
-    return worst
+    return worst, visited
 
 
 def slow_downward_gap(obj, lat):
-    """Reference: closures recomputed from their definition in place."""
-    worst = 0.0
+    """Reference: closures recomputed from their definition in place.
+    Returns the gap and the number of (Y, b, X) triples visited."""
+    worst, visited = 0.0, 0
     for y in range(lat.n):
         for b in lat.admissibles(y):
             lhs = obj.value(lat, lat.join(b, y)) - obj.value(lat, y)
@@ -54,6 +57,7 @@ def slow_downward_gap(obj, lat):
             for x in range(lat.n):
                 if not lat.leq(x, y):
                     continue
+                visited += 1
                 outer = []
                 for bp in closure:
                     inner = [obj.value(lat, lat.join(a, x)) - obj.value(lat, x)
@@ -62,11 +66,12 @@ def slow_downward_gap(obj, lat):
                         outer.append(min(inner))
                 if outer:
                     worst = max(worst, lhs - max(outer))
-    return worst
+    return worst, visited
 
 
 def slow_upward_gap(obj, lat):
-    worst = 0.0
+    """Returns the gap and the number of (X, a, Y) triples visited."""
+    worst, visited = 0.0, 0
     for x in range(lat.n):
         for a in lat.admissibles(x):
             lhs = obj.value(lat, lat.join(a, x)) - obj.value(lat, x)
@@ -74,6 +79,7 @@ def slow_upward_gap(obj, lat):
             for y in range(lat.n):
                 if not lat.leq(xa, y):
                     continue
+                visited += 1
                 outer = []
                 for b in lat.join_irreducibles():
                     if not lat.leq(a, b):
@@ -86,7 +92,7 @@ def slow_upward_gap(obj, lat):
                         outer.append(min(inner))
                 if outer:
                     worst = max(worst, max(outer) - lhs)
-    return worst
+    return worst, visited
 
 
 def random_table(rng, lat):
@@ -114,11 +120,31 @@ class TestGapScans:
             for _ in range(5):
                 obj = random_table(rng, lat)
                 assert abs(measure_strong_gap(obj, lat).measured_delta
-                           - slow_strong_gap(obj, lat)) < 1e-12
+                           - slow_strong_gap(obj, lat)[0]) < 1e-12
                 assert abs(measure_downward_gap(obj, lat).measured_delta
-                           - slow_downward_gap(obj, lat)) < 1e-12
+                           - slow_downward_gap(obj, lat)[0]) < 1e-12
                 assert abs(measure_upward_gap(obj, lat).measured_delta
-                           - slow_upward_gap(obj, lat)) < 1e-12
+                           - slow_upward_gap(obj, lat)[0]) < 1e-12
+
+    def test_triples_scanned_match_slow_references(self, rng, m3, n5):
+        pairs = ((measure_strong_gap, slow_strong_gap),
+                 (measure_downward_gap, slow_downward_gap),
+                 (measure_upward_gap, slow_upward_gap))
+        for lat in (SetLattice(3), m3, n5):
+            obj = random_table(rng, lat)
+            for measure, slow in pairs:
+                rep = measure(obj, lat)
+                assert rep.triples_scanned == slow(obj, lat)[1] > 0
+                assert rep.triples_scanned >= rep.excluded_triples
+                assert rep.to_json_dict()["triples_scanned"] == rep.triples_scanned
+
+    def test_scans_refuse_lattices_above_the_cap(self):
+        lat = SetLattice(13)
+        obj = TableObjective(np.zeros(lat.n))
+        for measure in (measure_strong_gap, measure_downward_gap, measure_upward_gap):
+            with pytest.raises(SizeLimitError, match="cap 4096"):
+                measure(obj, lat)
+        assert not {"steps", "_leq", "_join_table"} & set(lat.__dict__)
 
     def test_strong_dominates_directional(self, rng, m3, n5):
         for lat in (SetLattice(4), m3, n5):
