@@ -30,8 +30,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .diagnostics import (
     check_coherence_bound,
     check_saturation_gap_bound,
@@ -39,7 +37,7 @@ from .diagnostics import (
     measure_strong_gap,
     measure_upward_gap,
 )
-from .dictionary import Dictionary, enumerate_lattice
+from .dictionary import Dictionary, EnumeratedLattice, enumerate_lattice
 from .experiments import (
     MixtureSpec,
     generate_mixture,
@@ -54,7 +52,6 @@ from .objectives import (
     ModularCost,
     PCAObjective,
     QuantumCutObjective,
-    SaturatingFamily,
     TableObjective,
     WeightedDigraph,
     fractional_energy_family,
@@ -110,34 +107,47 @@ def _load_rho(arg, data):
         fraction = float(parts[1]) if len(parts) > 1 else 0.01
         slope = float(parts[2]) if len(parts) > 2 else 0.1
         return fractional_energy_family(data, fraction, slope)
-    doc = _read_json(arg)
-    if doc.get("kind") == "saturating_family":
-        return SaturatingFamily(np.asarray(doc["thresholds"], dtype=float),
-                                float(doc.get("slope", 0.1)))
-    return rho_from_json_dict(doc)
+    return rho_from_json_dict(_read_json(arg))
 
 
 def load_objective(args, lat):
+    """Build the objective named by --objective and check its input sizes
+    against the lattice it will be evaluated on."""
     name = args.objective
+    if name == "table":
+        if not args.table:
+            raise ValueError("--objective table requires --table")
+        if not isinstance(lat, FiniteLattice):
+            raise ValueError("--objective table needs a finite lattice")
+        obj = TableObjective(_read_json(args.table)["values"])
+        if obj.values.size != lat.n:
+            raise ValueError(f"--table holds {obj.values.size} values, lattice has {lat.n} elements")
+        return obj
     if name in ("pca", "gpca"):
         if not args.data:
             raise ValueError(f"--objective {name} requires --data")
         data = load_vectors_csv(args.data)
         if name == "pca":
-            return PCAObjective(data)
-        return GeneralizedPCAObjective(data, _load_rho(args.rho, data))
-    if name in ("qcut", "cut"):
+            obj = PCAObjective(data)
+        else:
+            obj = GeneralizedPCAObjective(data, _load_rho(args.rho, data))
+        what = "--data rows"
+    elif name in ("qcut", "cut"):
         if not args.graph:
             raise ValueError(f"--objective {name} requires --graph")
-        return QuantumCutObjective(WeightedDigraph.from_json_dict(_read_json(args.graph)))
-    if name == "table":
-        if not args.table:
-            raise ValueError("--objective table requires --table")
-        obj = TableObjective(_read_json(args.table)["values"])
-        if isinstance(lat, FiniteLattice) and obj.values.size != lat.n:
-            raise ValueError(f"--table holds {obj.values.size} values, lattice has {lat.n} elements")
-        return obj
-    raise ValueError(f"unknown objective {name!r}")
+        obj = QuantumCutObjective(WeightedDigraph.from_json_dict(_read_json(args.graph)))
+        if isinstance(lat, SetLattice) and obj.graph.n_vertices != lat.n_items:
+            raise ValueError(f"--graph has {obj.graph.n_vertices} vertices, "
+                             f"lattice has {lat.n_items} items")
+        what = "--graph vertices"
+    else:
+        raise ValueError(f"unknown objective {name!r}")
+    dim = (lat.dictionary.ambient_dim if isinstance(lat, EnumeratedLattice)
+           else getattr(lat, "ambient_dim", None))
+    if dim is not None and obj.ambient_dim != dim:
+        raise ValueError(f"{what} have dimension {obj.ambient_dim}, "
+                         f"lattice ambient dimension is {dim}")
+    return obj
 
 
 def _load_cost(arg, lat):

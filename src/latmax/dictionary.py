@@ -1,10 +1,12 @@
 """Finite span lattices generated by a dictionary of unit vectors.
 
-Enumerates the spans of all atom subsets, deduplicates them by projector
-at EQ_TOL, and materializes order/join/meet tables. Join of two elements
-is the span of the union of their generating subsets; meet is the join
-of every enumerated element below both (flagged if that fails to be a
-greatest lower bound, which only numerical inconsistency can cause).
+A span is fixed by the set of atoms it contains, its flat, so the span
+lattice is the lattice of flats of the atoms' vector matroid. Spans are
+enumerated over atom subsets in increasing bitmask order and keyed by
+their flats, held as bitmasks; an atom inside the span is one whose
+residual passes the RANK_TOL test `vjoin` uses to drop a column. Order
+is inclusion of flats, join is the element of the union of two flats,
+and meet the element of their intersection, which is again a flat.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from latmax.lattice import FiniteLattice, NotALatticeError, SizeLimitError
+from latmax.lattice import FiniteLattice, SizeLimitError
 from latmax.subspaces import (
     EQ_TOL,
     ORTH_TOL,
+    RANK_TOL,
     Direction,
     Subspace,
     vjoin,
@@ -63,76 +66,58 @@ class Dictionary:
 
 
 class EnumeratedLattice(FiniteLattice):
-    """Span lattice of a dictionary with precomputed order and tables."""
+    """Span lattice of a dictionary: each element is stored with its flat,
+    the bitmask of the atoms its span contains."""
 
     def __init__(self, dictionary: Dictionary, cap: int = 12):
-        if dictionary.n_atoms > cap:
-            raise SizeLimitError(
-                f"{dictionary.n_atoms} atoms exceed the enumeration cap {cap}"
-            )
+        m = dictionary.n_atoms
+        if m > cap:
+            raise SizeLimitError(f"{m} atoms exceed the enumeration cap {cap}")
         self.dictionary = dictionary
-        d = dictionary.ambient_dim
-        n_subsets = 1 << dictionary.n_atoms
+        atoms = [dictionary.direction(i) for i in range(m)]
+        units = np.array([a.vector for a in atoms]).T  # (d, m)
+        bits = 1 << np.arange(m)
 
-        subspaces: list[Subspace] = [Subspace.bottom(d)]
-        gen_masks: list[int] = [0]
-        projs: list[np.ndarray] = [np.zeros((d, d))]
-        by_dim: dict[int, list[int]] = {0: [0]}
-        elem_of_mask = np.zeros(n_subsets, dtype=np.int64)
+        subspaces = [Subspace.bottom(dictionary.ambient_dim)]
+        gen_masks = [0]
+        flats = [0]
+        id_of_flat = {0: 0}
+        elem_of_mask = np.zeros(1 << m, dtype=np.int64)
 
-        for mask in range(1, n_subsets):
+        for mask in range(1, 1 << m):
             low = mask & -mask
             prev = int(elem_of_mask[mask ^ low])
-            span = vjoin(subspaces[prev], dictionary.direction(low.bit_length() - 1))
-            p = span.projector()
-            found = -1
-            bucket = by_dim.get(span.dim, [])
-            if bucket:
-                stack = np.stack([projs[i] for i in bucket])
-                diffs = np.abs(stack - p[None]).max(axis=(1, 2))
-                hit = int(np.argmin(diffs))
-                if diffs[hit] <= EQ_TOL:
-                    found = bucket[hit]
-            if found < 0:
-                found = len(subspaces)
+            if flats[prev] & low:
+                elem_of_mask[mask] = prev
+                continue
+            span = vjoin(subspaces[prev], atoms[low.bit_length() - 1])
+            # the atoms inside the span, by vjoin's own residual test
+            b = span.basis
+            resid = units - b @ (b.T @ units)
+            resid -= b @ (b.T @ resid)
+            flat = int(bits[np.linalg.norm(resid, axis=0) <= RANK_TOL].sum())
+            found = id_of_flat.get(flat)
+            if found is None:
+                found = id_of_flat[flat] = len(subspaces)
                 subspaces.append(span)
                 gen_masks.append(mask)
-                projs.append(p)
-                by_dim.setdefault(span.dim, []).append(found)
+                flats.append(flat)
             elem_of_mask[mask] = found
 
-        n = len(subspaces)
-        self.n = n
+        self.n = len(subspaces)
         self.subspaces = tuple(subspaces)
         self.gen_masks = tuple(gen_masks)
         self._elem_of_mask = elem_of_mask
         self.bottom = 0
-        self.top = int(elem_of_mask[n_subsets - 1])
+        self.top = int(elem_of_mask[-1])
         self._dims = np.array([s.dim for s in subspaces])
 
-        proj_stack = np.stack(projs)
-        order = np.zeros((n, n), dtype=bool)
-        for x in range(n):
-            bx = subspaces[x].basis
-            if bx.shape[1] == 0:
-                order[x, :] = True
-                continue
-            resid = np.einsum("nij,jk->nik", proj_stack, bx) - bx[None]
-            order[x, :] = np.abs(resid).max(axis=(1, 2)) <= ORTH_TOL
-        self._order = order
-
-        gm = np.array(gen_masks)
-        self._jt = elem_of_mask[gm[:, None] | gm[None, :]]
-
-        self._mt = np.full((n, n), -1, dtype=np.int64)
-        heights = self._dims
-        for i in range(n):
-            common = order[:, [i]] & order  # (z, j): z below both i and j
-            masked = np.where(common, heights[:, None], -1)
-            m = np.argmax(masked, axis=0)
-            ok = (~common | order[:, m]).all(axis=0)
-            self._mt[i, ok] = m[ok]
-        self.is_lattice = bool((self._mt >= 0).all())
+        # flats are closed under intersection, so a meet is the element
+        # of the common atoms, as a join is that of all atoms of both
+        f = np.array(flats, dtype=np.int64)
+        self._order = (f[:, None] & ~f) == 0
+        self._jt = elem_of_mask[f[:, None] | f]
+        self._mt = elem_of_mask[f[:, None] & f]
 
     @property
     def atom_elements(self) -> tuple[int, ...]:
@@ -146,10 +131,7 @@ class EnumeratedLattice(FiniteLattice):
         return int(self._jt[i, j])
 
     def meet(self, i, j):
-        m = int(self._mt[i, j])
-        if m < 0:
-            raise NotALatticeError(f"no unique greatest lower bound for ({i},{j})")
-        return m
+        return int(self._mt[i, j])
 
     def height(self, i):
         return int(self._dims[i])
@@ -165,8 +147,6 @@ class EnumeratedLattice(FiniteLattice):
         return self._jt
 
     def meet_table(self):
-        if not self.is_lattice:
-            raise NotALatticeError("enumerated spans do not form a lattice")
         return self._mt
 
     @property
@@ -177,11 +157,6 @@ class EnumeratedLattice(FiniteLattice):
     def heights(self):
         return self._dims
 
-    def is_modular(self):
-        if not self.is_lattice:
-            return False
-        return super().is_modular()
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "dictionary",
@@ -189,7 +164,6 @@ class EnumeratedLattice(FiniteLattice):
             "tolerance": EQ_TOL,
             "elements": [s.to_json_dict() for s in self.subspaces],
             "hasse_edges": self.hasse_edges(),
-            "is_lattice": self.is_lattice,
             "is_modular": self.is_modular(),
         }
 
@@ -227,31 +201,23 @@ class CoherenceReport:
 
 def lattice_coherence_report(lat: EnumeratedLattice) -> CoherenceReport:
     """For every element, find the complement (meet bottom, join top) whose
-    alignment is smallest; report the max of those minima. Elements with no
-    complement at all make the coherence infinite."""
+    alignment is smallest, the first in element order on ties; report the
+    max of those minima. Elements with no complement at all make the
+    coherence infinite."""
     if lat.height(lat.top) != lat.dictionary.ambient_dim:
         raise ValueError("lattice top must span the ambient space")
-    if not lat.is_lattice:
-        raise NotALatticeError("coherence needs a lattice")
+    jt, mt = lat.join_table(), lat.meet_table()
     report = CoherenceReport(value=0.0)
     offenders = []
     for x in range(lat.n):
-        best, best_y = None, None
-        for y in range(lat.n):
-            if lat.join(x, y) != lat.top or lat.meet(x, y) != lat.bottom:
-                continue
-            a = _alignment(lat.subspaces[x], lat.subspaces[y])
-            if best is None or a < best:
-                best, best_y = a, y
-        if best is None:
+        ys = np.flatnonzero((jt[x] == lat.top) & (mt[x] == lat.bottom))
+        if not ys.size:
             offenders.append(x)
-        else:
-            report.per_element[x] = best
-            report.best_complement[x] = best_y
+            continue
+        aligns = [_alignment(lat.subspaces[x], lat.subspaces[y]) for y in ys]
+        k = int(np.argmin(aligns))
+        report.per_element[x] = aligns[k]
+        report.best_complement[x] = int(ys[k])
     report.no_complement = tuple(offenders)
     report.value = float("inf") if offenders else max(report.per_element.values())
     return report
-
-
-def coherence_lattice(lat: EnumeratedLattice) -> float:
-    return lattice_coherence_report(lat).value

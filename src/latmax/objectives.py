@@ -102,7 +102,7 @@ class ConcaveRho:
         return {"kind": "knots", "t": ts.tolist(), "y": ys.tolist()}
 
 
-def rho_from_json_dict(doc) -> "ConcaveRho":
+def rho_from_json_dict(doc) -> "ConcaveRho | SaturatingFamily":
     if isinstance(doc, str):
         doc = {"kind": doc}
     kind = doc["kind"]
@@ -112,6 +112,8 @@ def rho_from_json_dict(doc) -> "ConcaveRho":
         return ConcaveRho.capped(doc["threshold"], doc.get("slope", 0.1))
     if kind == "knots":
         return ConcaveRho.from_knots(doc["t"], doc["y"])
+    if kind == "saturating_family":
+        return SaturatingFamily(doc["thresholds"], float(doc.get("slope", 0.1)))
     raise ValueError(f"unknown reshaping kind {kind!r}")
 
 

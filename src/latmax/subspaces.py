@@ -145,25 +145,6 @@ def vmeet(x: Subspace, y: Subspace) -> Subspace:
     return Subspace(basis)
 
 
-def ortho_complement(x: Subspace) -> Subspace:
-    if x.dim == 0:
-        return Subspace.top(x.ambient_dim)
-    if x.dim == x.ambient_dim:
-        return Subspace.bottom(x.ambient_dim)
-    u, _, _ = np.linalg.svd(x.basis, full_matrices=True)
-    return Subspace(u[:, x.dim:])
-
-
-def residual_direction(a: Direction, x: Subspace) -> Direction:
-    """Unit component of a orthogonal to x; the effective step direction."""
-    v = a.vector
-    w = v - x.basis @ (x.basis.T @ v)
-    w = w - x.basis @ (x.basis.T @ w)
-    if float(np.linalg.norm(w)) <= ORTH_TOL:
-        raise ValueError("direction lies inside the subspace; no residual")
-    return Direction(w)
-
-
 def codim1_descend(b: Subspace, w: Direction) -> Subspace:
     """Remove the line of w from b, keeping the orthogonal remainder in b."""
     coords = b.basis.T @ w.vector
@@ -181,43 +162,6 @@ def subspace_leq(x: Subspace, y: Subspace) -> bool:
         return False
     resid = x.basis - y.basis @ (y.basis.T @ x.basis)
     return float(np.linalg.norm(resid, axis=0).max()) <= ORTH_TOL
-
-
-def subspace_eq(x: Subspace, y: Subspace) -> bool:
-    if x.ambient_dim != y.ambient_dim:
-        return False
-    return float(np.abs(x.projector() - y.projector()).max()) <= EQ_TOL
-
-
-class DirectionClosure:
-    """Directions equivalent to a given admissible step from a base subspace.
-
-    The closure is the set of unit vectors inside the target span but not
-    inside the base; it is represented intensionally by membership and
-    sampling rather than materialized.
-    """
-
-    def __init__(self, base: Subspace, direction: Direction):
-        residual_direction(direction, base)  # rejects directions already in base
-        self.base = base
-        self.direction = direction
-        self.target = vjoin(base, direction)
-
-    def contains(self, candidate: Direction) -> bool:
-        if not self.target.contains(candidate.vector):
-            return False
-        return not self.base.contains(candidate.vector)
-
-    def sample(self, rng: np.random.Generator, count: int) -> list[Direction]:
-        out: list[Direction] = []
-        while len(out) < count:
-            g = rng.standard_normal((self.target.dim, count - len(out)))
-            for coef in g.T:
-                v = self.target.basis @ coef
-                cand = Direction(v)
-                if self.contains(cand):
-                    out.append(cand)
-        return out
 
 
 class VectorLattice:

@@ -1,18 +1,27 @@
-"""Loop-based implementations that the step table replaced.
+"""Loop-based implementations that the step table and the flat
+enumeration replaced.
 
 Lattice queries and the three gap scans as they were written before
 `FiniteLattice.steps` existed: admissibility from the order matrix one
 (irreducible, element) pair at a time, closures by rescanning the
-admissible set, and marginals filled one entry per call. The
-differential tests run them as oracles against the table-driven code,
-which must agree bit for bit, witnesses included.
+admissible set, and marginals filled one entry per call. The span
+enumerator as it was written before elements were keyed by their flats:
+spans deduplicated by projector, order by a containment scan over the
+projector stack, meet by a search for the highest common lower bound;
+and the coherence report with one join and one meet query per pair.
+The differential tests run them as oracles against the table-driven
+code, which must agree bit for bit, witnesses included.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from latmax.diagnostics import GapReport
+from latmax.dictionary import CoherenceReport, _alignment
+from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, vjoin
 
 
 def leq_matrix(lat):
@@ -195,3 +204,88 @@ def measure_upward_gap(obj, lat) -> GapReport:
         return GapReport("upward", 0.0, excluded_triples=excluded)
     return GapReport("upward", max(0.0, worst), witness,
                      excluded_triples=excluded)
+
+
+def enumerate_spans(dictionary):
+    """Span lattice of a dictionary with its order, join and meet tables;
+    `mt` holds -1 where no greatest lower bound was found."""
+    d = dictionary.ambient_dim
+    n_subsets = 1 << dictionary.n_atoms
+
+    subspaces: list[Subspace] = [Subspace.bottom(d)]
+    gen_masks: list[int] = [0]
+    projs: list[np.ndarray] = [np.zeros((d, d))]
+    by_dim: dict[int, list[int]] = {0: [0]}
+    elem_of_mask = np.zeros(n_subsets, dtype=np.int64)
+
+    for mask in range(1, n_subsets):
+        low = mask & -mask
+        prev = int(elem_of_mask[mask ^ low])
+        span = vjoin(subspaces[prev], dictionary.direction(low.bit_length() - 1))
+        p = span.projector()
+        found = -1
+        bucket = by_dim.get(span.dim, [])
+        if bucket:
+            stack = np.stack([projs[i] for i in bucket])
+            diffs = np.abs(stack - p[None]).max(axis=(1, 2))
+            hit = int(np.argmin(diffs))
+            if diffs[hit] <= EQ_TOL:
+                found = bucket[hit]
+        if found < 0:
+            found = len(subspaces)
+            subspaces.append(span)
+            gen_masks.append(mask)
+            projs.append(p)
+            by_dim.setdefault(span.dim, []).append(found)
+        elem_of_mask[mask] = found
+
+    n = len(subspaces)
+    dims = np.array([s.dim for s in subspaces])
+
+    proj_stack = np.stack(projs)
+    order = np.zeros((n, n), dtype=bool)
+    for x in range(n):
+        bx = subspaces[x].basis
+        if bx.shape[1] == 0:
+            order[x, :] = True
+            continue
+        resid = np.einsum("nij,jk->nik", proj_stack, bx) - bx[None]
+        order[x, :] = np.abs(resid).max(axis=(1, 2)) <= ORTH_TOL
+
+    gm = np.array(gen_masks)
+    jt = elem_of_mask[gm[:, None] | gm[None, :]]
+
+    mt = np.full((n, n), -1, dtype=np.int64)
+    heights = dims
+    for i in range(n):
+        common = order[:, [i]] & order  # (z, j): z below both i and j
+        masked = np.where(common, heights[:, None], -1)
+        m = np.argmax(masked, axis=0)
+        ok = (~common | order[:, m]).all(axis=0)
+        mt[i, ok] = m[ok]
+    return SimpleNamespace(n=n, subspaces=tuple(subspaces),
+                           gen_masks=tuple(gen_masks), elem_of_mask=elem_of_mask,
+                           order=order, jt=jt, mt=mt)
+
+
+def lattice_coherence_report(lat) -> CoherenceReport:
+    if lat.height(lat.top) != lat.dictionary.ambient_dim:
+        raise ValueError("lattice top must span the ambient space")
+    report = CoherenceReport(value=0.0)
+    offenders = []
+    for x in range(lat.n):
+        best, best_y = None, None
+        for y in range(lat.n):
+            if lat.join(x, y) != lat.top or lat.meet(x, y) != lat.bottom:
+                continue
+            a = _alignment(lat.subspaces[x], lat.subspaces[y])
+            if best is None or a < best:
+                best, best_y = a, y
+        if best is None:
+            offenders.append(x)
+        else:
+            report.per_element[x] = best
+            report.best_complement[x] = best_y
+    report.no_complement = tuple(offenders)
+    report.value = float("inf") if offenders else max(report.per_element.values())
+    return report

@@ -151,8 +151,6 @@ def test_03_height_greedy_ratio_bound(verdict):
         d = int(rng.integers(2, 6))
         m = int(rng.integers(2, 9))
         lat = enumerate_lattice(_random_unit_dictionary(rng, m, d))
-        if not lat.is_lattice:
-            continue
         checked += 1
         obj = PCAObjective(rng.normal(size=(8, d)))
         k = int(rng.integers(1, 4))

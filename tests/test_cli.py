@@ -215,3 +215,35 @@ class TestInputErrors:
                    "--graph", str(path)])
         assert rc == 2
         self._one_error_line(capsys, "finite")
+
+    def test_table_objective_on_a_subspace_lattice(self, table_json, capsys):
+        rc = main(["greedy", "--objective", "table", "--lattice", "vector:3",
+                   "--table", str(table_json), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, "finite lattice")
+
+    @pytest.mark.parametrize("items", [2, 5])
+    def test_graph_vertex_count_differs_from_items(self, items, graph_json, capsys):
+        rc = main(["greedy", "--objective", "cut", "--lattice", f"set:{items}",
+                   "--graph", str(graph_json), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, "3 vertices", f"{items} items")
+
+    @pytest.mark.parametrize("lattice", ["vector:3", "dictionary"])
+    def test_data_width_differs_from_ambient_dimension(self, lattice, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        np.savetxt(data, np.ones((5, 4)), delimiter=",")
+        if lattice == "dictionary":
+            lattice = str(tmp_path / "lattice.json")
+            (tmp_path / "lattice.json").write_text(
+                json.dumps({"kind": "dictionary", "atoms": np.eye(3).tolist()}))
+        rc = main(["greedy", "--objective", "pca", "--lattice", lattice,
+                   "--data", str(data), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, "dimension 4", "ambient dimension is 3")
+
+    def test_graph_vertex_width_differs_from_ambient_dimension(self, graph_json, capsys):
+        rc = main(["double-greedy", "--objective", "qcut", "--lattice", "vector:2",
+                   "--graph", str(graph_json)])
+        assert rc == 2
+        self._one_error_line(capsys, "dimension 3", "ambient dimension is 2")

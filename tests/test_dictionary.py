@@ -4,7 +4,6 @@ import scipy.linalg
 
 from latmax.dictionary import (
     Dictionary,
-    coherence_lattice,
     coherence_vectors,
     enumerate_lattice,
     lattice_coherence_report,
@@ -53,6 +52,12 @@ def subset_span_count(dictionary):
     return len(kept)
 
 
+def assert_meet_is_glb(lat):
+    """Every meet-table entry is the greatest common lower bound."""
+    glb = [[order_scan_glb(lat, i, j) for j in range(lat.n)] for i in range(lat.n)]
+    assert np.array_equal(lat.meet_table(), glb)
+
+
 def random_dictionary(rng, n_atoms, d):
     v = rng.normal(size=(n_atoms, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -64,7 +69,7 @@ class TestEnumeration:
         lat = enumerate_lattice(Dictionary(np.eye(2)))
         assert lat.n == 4
         assert lat.height(lat.top) == 2
-        assert lat.is_lattice
+        assert_meet_is_glb(lat)
         assert lat.is_modular()
         assert lat.is_distributive()
 
@@ -116,7 +121,7 @@ class TestEnumeration:
 
     def test_skew_quad_is_a_nonmodular_lattice_with_unit_steps(self):
         lat = enumerate_lattice(skew_quad())
-        assert lat.is_lattice
+        assert_meet_is_glb(lat)
         assert not lat.is_modular()
         assert lat.incrementality() == 1
 
@@ -136,7 +141,7 @@ class TestEnumeration:
             n_atoms = int(rng.integers(2, 7))
             d = int(rng.integers(2, 5))
             lat = enumerate_lattice(random_dictionary(rng, n_atoms, d))
-            assert lat.is_lattice
+            assert_meet_is_glb(lat)
 
     def test_labels_and_json_dump(self):
         lat = enumerate_lattice(Dictionary(np.eye(2)))
@@ -146,7 +151,7 @@ class TestEnumeration:
         assert doc["kind"] == "dictionary"
         assert len(doc["elements"]) == 4
         assert len(doc["hasse_edges"]) == 4
-        assert doc["is_lattice"] and doc["is_modular"]
+        assert doc["is_modular"]
         again = Dictionary.from_json_dict(doc)
         assert np.allclose(again.vectors, lat.dictionary.vectors)
 
@@ -181,14 +186,14 @@ class TestCoherence:
     def test_orthonormal_vectors_have_zero_coherence(self):
         dic = Dictionary(np.eye(3))
         assert coherence_vectors(dic) == 0.0
-        assert coherence_lattice(enumerate_lattice(dic)) == 0.0
+        assert lattice_coherence_report(enumerate_lattice(dic)).value == 0.0
 
     def test_tilted_pair_values(self):
         eps = 0.01
         dic = tilted_pair(eps)
         assert abs(coherence_vectors(dic) - 1 / np.sqrt(1 + eps**2)) < 1e-12
         lat = enumerate_lattice(dic)
-        assert abs(coherence_lattice(lat) - eps / np.sqrt(1 + eps**2)) < 1e-12
+        assert abs(lattice_coherence_report(lat).value - eps / np.sqrt(1 + eps**2)) < 1e-12
 
     def test_report_details_on_tilted_pair(self):
         lat = enumerate_lattice(tilted_pair(0.2))
@@ -223,7 +228,7 @@ class TestCoherence:
             eps = coherence_vectors(dic)
             assert eps <= 0.1
             d = dic.ambient_dim
-            assert coherence_lattice(enumerate_lattice(dic)) <= d * eps / (1 - d * eps) + 1e-12
+            assert lattice_coherence_report(enumerate_lattice(dic)).value <= d * eps / (1 - d * eps) + 1e-12
 
     def test_single_vector_coherence_rejected(self):
         with pytest.raises(ValueError):

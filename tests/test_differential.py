@@ -1,11 +1,12 @@
-"""The step table and the table-driven gap scans against the loop-based
-code they replaced (`reference.py`): identical tables, identical lattice
-queries, and byte-identical gap reports, witnesses included."""
+"""The step table, the table-driven gap scans and the flat enumeration of
+span lattices against the loop-based code they replaced (`reference.py`):
+identical tables, identical lattice queries, identical span bases, and
+byte-identical gap reports, witnesses included."""
 
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -14,7 +15,7 @@ from latmax.diagnostics import (
     measure_strong_gap,
     measure_upward_gap,
 )
-from latmax.dictionary import Dictionary, enumerate_lattice
+from latmax.dictionary import Dictionary, enumerate_lattice, lattice_coherence_report
 from latmax.lattice import ExplicitLattice, SetLattice
 from latmax.objectives import (
     GeneralizedPCAObjective,
@@ -27,6 +28,7 @@ from latmax.objectives import (
 from latmax.solvers import double_greedy, greedy_height, greedy_knapsack
 
 from conftest import make_chain, make_m3, make_n5
+from test_dictionary import skew_quad, tilted_pair
 
 SCANS = ((measure_strong_gap, ref.measure_strong_gap),
          (measure_downward_gap, ref.measure_downward_gap),
@@ -46,10 +48,10 @@ def closure_system(masks, ground):
     return ExplicitLattice((ms[:, None] & ms[None, :]) == ms[:, None])
 
 
-def tilted_planes(seed, planes=2):
-    """Span lattice of `planes` coordinate planes of R^(2*planes), each
-    holding its two axes and the first axis tilted towards the second,
-    under a random rotation: a modular lattice with three-member closures."""
+def tilted_plane_dictionary(seed, planes=2):
+    """`planes` coordinate planes of R^(2*planes), each holding its two
+    axes and the first axis tilted towards the second, under a random
+    rotation: a modular span lattice with three-member closures."""
     rng = np.random.default_rng(seed)
     d = 2 * planes
     atoms = []
@@ -58,7 +60,17 @@ def tilted_planes(seed, planes=2):
         u, v = np.eye(d)[2 * j], np.eye(d)[2 * j + 1]
         atoms += [u, (u + t * v) / np.hypot(1.0, t), v]
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    return enumerate_lattice(Dictionary(np.array(atoms) @ q.T))
+    return Dictionary(np.array(atoms) @ q.T)
+
+
+def random_dictionary(seed, n_atoms, d):
+    v = np.random.default_rng(seed).normal(size=(n_atoms, d))
+    return Dictionary(v / np.linalg.norm(v, axis=1, keepdims=True))
+
+
+def near_orthonormal_frame(seed):
+    v = np.eye(4) + 0.02 * np.random.default_rng(seed).normal(size=(4, 4))
+    return Dictionary(v / np.linalg.norm(v, axis=1, keepdims=True))
 
 
 lattices = st.one_of(
@@ -68,7 +80,7 @@ lattices = st.one_of(
     st.integers(2, 4).flatmap(lambda g: st.lists(
         st.integers(0, (1 << g) - 1), max_size=8).map(
             lambda masks: closure_system(masks, g))),
-    st.integers(0, 2 ** 16).map(tilted_planes),
+    st.integers(0, 2 ** 16).map(lambda seed: enumerate_lattice(tilted_plane_dictionary(seed))),
 )
 
 
@@ -126,3 +138,35 @@ def test_solvers_build_no_whole_lattice_table():
     greedy_knapsack(obj, lat, ModularCost.uniform(lat), 3.0)
     double_greedy(obj, lat)
     assert not {"steps", "_leq", "_join_table"} & set(lat.__dict__)
+
+
+dictionaries = st.one_of(
+    st.builds(random_dictionary, st.integers(0, 2 ** 32 - 1),
+              st.integers(1, 9), st.integers(2, 5)),
+    st.floats(1e-4, 0.4).map(tilted_pair),
+    st.just(skew_quad()),
+    st.integers(0, 2 ** 16).map(lambda seed: tilted_plane_dictionary(seed, 3)),
+    st.integers(0, 2 ** 16).map(near_orthonormal_frame),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dictionaries)
+def test_flat_enumeration_matches_reference(dic):
+    lat, want = enumerate_lattice(dic), ref.enumerate_spans(dic)
+    assert lat.n == want.n
+    assert lat.gen_masks == want.gen_masks
+    assert np.array_equal(lat._elem_of_mask, want.elem_of_mask)
+    for got, old in zip(lat.subspaces, want.subspaces):
+        assert np.array_equal(got.basis, old.basis)
+    assert np.array_equal(lat.leq_matrix(), want.order)
+    assert np.array_equal(lat.join_table(), want.jt)
+    assert np.array_equal(lat.meet_table(), want.mt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dictionaries)
+def test_coherence_report_matches_reference(dic):
+    lat = enumerate_lattice(dic)
+    assume(lat.height(lat.top) == dic.ambient_dim)
+    assert lattice_coherence_report(lat) == ref.lattice_coherence_report(lat)

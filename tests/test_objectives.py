@@ -61,6 +61,13 @@ class TestConcaveRho:
         r1 = fam.row(1)
         assert abs(r1.apply(np.array([3.0]))[0] - 2.1) < 1e-12
 
+    def test_saturating_family_json_roundtrip(self):
+        fam = SaturatingFamily(np.array([0.5, 1.0, 4.0]), slope=0.25)
+        again = rho_from_json_dict(fam.to_json_dict())
+        assert isinstance(again, SaturatingFamily)
+        assert np.array_equal(again.thresholds, fam.thresholds)
+        assert again.slope == fam.slope
+
     def test_fractional_family_thresholds(self):
         data = np.array([[2.0, 0.0], [0.0, 1.0]])
         fam = fractional_energy_family(data, fraction=0.01, slope=0.1)
