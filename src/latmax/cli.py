@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -135,6 +136,9 @@ def load_objective(args, lat):
     elif name in ("qcut", "cut"):
         if not args.graph:
             raise ValueError(f"--objective {name} requires --graph")
+        if isinstance(lat, ExplicitLattice):
+            raise ValueError(f"--objective {name} needs vertex sets or subspaces as elements; "
+                             f"an explicit lattice has neither")
         obj = QuantumCutObjective(WeightedDigraph.from_json_dict(_read_json(args.graph)))
         if isinstance(lat, SetLattice) and obj.graph.n_vertices != lat.n_items:
             raise ValueError(f"--graph has {obj.graph.n_vertices} vertices, "
@@ -337,9 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limits(args) -> None:
+    """A height cap is nonnegative and a budget finite."""
+    k, budget = getattr(args, "k", None), getattr(args, "budget", None)
+    if k is not None and k < 0:
+        raise ValueError(f"--k must be nonnegative, got {k}")
+    if budget is not None and not math.isfinite(budget):
+        raise ValueError(f"--budget must be finite, got {budget}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except (ValueError, TypeError, KeyError, NotALatticeError,
             FileNotFoundError, json.JSONDecodeError) as exc:

@@ -308,6 +308,9 @@ class ExplicitLattice(FiniteLattice):
                          labels: list[str] | None = None) -> "ExplicitLattice":
         leq = np.eye(n, dtype=bool)
         for lo, hi in edges:
+            if not (0 <= lo < n and 0 <= hi < n):
+                raise ValueError(f"cover edge [{lo}, {hi}] references a missing element "
+                                 f"(ids run from 0 to {n - 1})")
             leq[lo, hi] = True
         # transitive closure
         for _ in range(n):

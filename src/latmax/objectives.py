@@ -9,6 +9,7 @@ numerically at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,6 +176,12 @@ class PCAObjective:
     def feature_rows(self):
         """Rows whose projection energies determine the value."""
         return self.data
+
+    @cached_property
+    def scatter(self):
+        """d x d scatter matrix of the rows: the captured energy of a unit
+        vector u is u^T scatter u."""
+        return self.data.T @ self.data
 
     def energies(self, sub: Subspace):
         return ((self.data @ sub.basis) ** 2).sum(axis=1)

@@ -7,6 +7,17 @@ an exact eigenvector step (quadratic objectives only), a deterministic
 direction grid, or random sampling. Double greedy evaluates ascent and
 descent over one shared direction set so its per-iteration certificate
 inherits the objective's exchange inequality.
+
+Greedy's grid and random sweeps are pruned. A candidate unit u captures
+q = u^T S u + sum(base) energy in total (S the d x d scatter matrix), and
+the objective's value is at most a function of q: q itself for plain PCA,
+s*q + (1-s)*min(q, sum(t)) for a saturating family, n*rho(q/n) for one
+concave rho (Jensen). The sweep bounds every candidate from q, scores the
+highest-bound ones exactly to get a lower bound on the best score, then
+scores exactly only the candidates whose bound still reaches it. The
+first maximum among those, in column order, is the first maximum over all
+columns, so the chosen direction is the full sweep's. Objectives without
+such a bound (the quantum cut) and double greedy keep the full sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from latmax.lattice import FiniteLattice
-from latmax.objectives import GeneralizedPCAObjective, PCAObjective
+from latmax.objectives import (
+    GeneralizedPCAObjective,
+    PCAObjective,
+    SaturatingFamily,
+)
 from latmax.subspaces import (
     Direction,
     Subspace,
@@ -110,24 +125,14 @@ def _grid_points(axes):
     return np.stack([m.ravel() for m in mesh])
 
 
-def _best_direction(evaluate, strategy, dim, rng):
+def _best_direction(sweep, strategy, dim, rng):
     """Maximize a direction score over the unit sphere of R^dim.
 
-    evaluate maps a (dim, m) matrix of raw candidates to (scores, units)
-    where units holds the normalized accepted candidates column-wise.
-    Returns (best_score, best_unit_vector).
+    sweep maps a (dim, m) matrix of raw candidates to (best_score,
+    best_unit, candidates, evaluated), the last two counting the unit
+    columns proposed and scored exactly. Returns the same four, with the
+    counts summed over every sweep made.
     """
-    def sweep(raw):
-        best_s, best_u = -np.inf, None
-        for lo in range(0, raw.shape[1], _CHUNK):
-            scores, units = evaluate(raw[:, lo:lo + _CHUNK])
-            if scores.size == 0:
-                continue
-            k = int(np.argmax(scores))
-            if scores[k] > best_s:
-                best_s, best_u = float(scores[k]), units[:, k].copy()
-        return best_s, best_u
-
     if isinstance(strategy, RandomRestart):
         local = np.random.default_rng(strategy.seed) if rng is None else rng
         return sweep(local.normal(size=(dim, strategy.samples)))
@@ -135,16 +140,124 @@ def _best_direction(evaluate, strategy, dim, rng):
     if not isinstance(strategy, Grid):
         raise ValueError(f"strategy {strategy!r} cannot propose directions")
     width = strategy.width
-    best_s, best_u = sweep(_grid_points(_grid_axes(width, dim)))
+    best_s, best_u, candidates, evaluated = sweep(_grid_points(_grid_axes(width, dim)))
     for _ in range(strategy.refine_rounds):
         if best_u is None:
             break
         width /= 5.0
         axes = [np.linspace(c - 5 * width, c + 5 * width, 11) for c in best_u]
-        s, u = sweep(_grid_points(axes))
+        s, u, c, e = sweep(_grid_points(axes))
+        candidates, evaluated = candidates + c, evaluated + e
         if u is not None and s > best_s:
             best_s, best_u = s, u
-    return best_s, best_u
+    return best_s, best_u, candidates, evaluated
+
+
+def _full_sweep(propose, score):
+    """Score every candidate. propose maps raw columns to unit columns,
+    score maps unit columns to their scores; the first maximum wins."""
+    def sweep(raw):
+        best_s, best_u, seen = -np.inf, None, 0
+        for lo in range(0, raw.shape[1], _CHUNK):
+            units = propose(raw[:, lo:lo + _CHUNK])
+            scores = score(units)
+            seen += scores.size
+            if scores.size == 0:
+                continue
+            k = int(np.argmax(scores))
+            if scores[k] > best_s:
+                best_s, best_u = float(scores[k]), units[:, k].copy()
+        return best_s, best_u, seen, seen
+    return sweep
+
+
+# candidates scored exactly before pruning; the best of them is the lower
+# bound every other candidate's upper bound must reach
+_PROBE = 256
+# gathered candidates are scored in slices this wide (a multiple of 8): a
+# 0.5 MB energy buffer at 1000 rows. A second greedy step can keep 1,500
+# candidates, and scoring them in one 12 MB buffer raised the process's
+# peak memory by up to 6 MB.
+_GATHER = 64
+
+
+def _pruned_sweep(propose, score, bound):
+    """Same result as _full_sweep(propose, score), scoring exactly only the
+    candidates whose upper bound (bound maps unit columns to upper bounds on
+    their scores) reaches the best of the _PROBE highest-bound ones."""
+    def sweep(raw):
+        batches = [propose(raw[:, lo:lo + _CHUNK]) for lo in range(0, raw.shape[1], _CHUNK)]
+        m = sum(b.shape[1] for b in batches)
+        if m == 0:
+            return -np.inf, None, 0, 0
+        upper = np.concatenate([bound(b) for b in batches])
+        scores, done = np.empty(m), np.zeros(m, dtype=bool)
+
+        def fill(idx):
+            todo = idx[~done[idx]]
+            scores[todo] = _batch_scores(score, batches, todo)
+            done[todo] = True
+
+        top = max(m - _PROBE, 0)
+        fill(np.sort(np.argpartition(upper, top)[top:]))
+        low = scores[done].max()
+        keep = np.flatnonzero(upper >= low - 1e-9 * max(1.0, abs(low)))
+        fill(keep)
+        best = keep[int(np.argmax(scores[keep]))]
+        which, pos, _ = _locate(batches, np.array([best]))
+        return float(scores[best]), batches[which[0]][:, pos[0]].copy(), m, int(done.sum())
+    return sweep
+
+
+def _locate(batches, idx):
+    """Batch and position in it of the columns idx of the concatenated
+    batches, and the widths of those batches."""
+    widths = np.array([b.shape[1] for b in batches])
+    starts = np.cumsum(widths) - widths
+    which = np.searchsorted(starts, idx, side="right") - 1
+    return which, idx - starts[which], widths[which]
+
+
+def _batch_scores(score, batches, idx):
+    """Scores of the columns idx (increasing) of the concatenated batches,
+    bit-identical to scoring each batch whole.
+
+    BLAS computes the last (width mod 8) columns of a product with edge
+    kernels whose bits differ, and a one-column energy buffer sums its rows
+    pairwise, so a batch that holds such a column is scored whole. The other
+    columns are gathered and go through _score_columns.
+    """
+    which, pos, widths = _locate(batches, idx)
+    whole = np.zeros(len(batches), dtype=bool)
+    whole[which[pos >= widths - widths % 8]] = True
+    out = np.empty(idx.size)
+    for b in np.flatnonzero(whole):
+        sel = which == b
+        out[sel] = score(batches[b])[pos[sel]]
+    rest = ~whole[which]
+    if rest.any():
+        gather = np.zeros(len(batches), dtype=bool)
+        gather[which[rest]] = True
+        cols = np.concatenate([batches[b][:, pos[rest & (which == b)]]
+                               for b in np.flatnonzero(gather)], axis=1)
+        order = "F" if batches[which[rest][0]].flags.f_contiguous else "C"
+        out[rest] = _score_columns(score, cols, order)
+    return out
+
+
+def _score_columns(score, units, order):
+    """Scores of gathered unit columns, bit-identical to their scores at
+    full-tile positions of a wide batch of the same memory order: the
+    columns are padded with zero columns to a multiple of 8 and scored in
+    slices of _GATHER."""
+    m = units.shape[1]
+    out = np.empty(m)
+    for lo in range(0, m, _GATHER):
+        part = units[:, lo:lo + _GATHER]
+        padded = np.zeros((units.shape[0], -(-part.shape[1] // 8) * 8), order=order)
+        padded[:, :part.shape[1]] = part
+        out[lo:lo + part.shape[1]] = score(padded)[:part.shape[1]]
+    return out
 
 
 def _unitize(raw, against=None):
@@ -163,11 +276,31 @@ def _is_plain_pca(obj) -> bool:
     return isinstance(obj, PCAObjective) and not isinstance(obj, GeneralizedPCAObjective)
 
 
+def _energy_bound(obj):
+    """Upper bound on the objective's value as a function of the total
+    captured energy q (vectorized), or None when it has none."""
+    if _is_plain_pca(obj):
+        return lambda q: q
+    if not isinstance(obj, GeneralizedPCAObjective):
+        return None
+    rho = obj.rho
+    if isinstance(rho, SaturatingFamily):
+        s, total = rho.slope, float(rho.thresholds.sum())
+        return lambda q: s * q + (1.0 - s) * np.minimum(q, total)
+    if rho.knots is None:
+        return None
+    ts, ys = rho.knots
+    if (np.diff(np.diff(ys) / np.diff(ts)) > 0).any():
+        return None  # knots beyond the sampled concavity check bend upward
+    n = obj.feature_rows.shape[0]
+    return lambda q: n * rho.apply(q / n)
+
+
 def _residual_scatter_top(obj, base: Subspace):
     """Best ascent direction of a quadratic energy sum: top eigenvector of
     the scatter matrix restricted to the orthogonal complement of base."""
     d = obj.ambient_dim
-    s = obj.feature_rows.T @ obj.feature_rows
+    s = obj.scatter
     q = np.eye(d) - base.projector()
     w, v = np.linalg.eigh(q @ s @ q)
     gain, vec = float(w[-1]), v[:, -1]
@@ -224,6 +357,7 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
         raise ValueError("the eigenvector step needs a plain quadratic objective")
     rng = np.random.default_rng(seed)
     rows = obj.feature_rows
+    bound_of = _energy_bound(obj)
     x = lat.bottom()
     energies = obj.energies(x)
     current = float(obj.value_from_energies(energies))
@@ -236,24 +370,34 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
             best_v = current + gain if unit is not None else None
         else:
             base = energies[:, None] if energies.any() else None
+            offset = float(energies.sum())
 
-            def evaluate(raw):
-                units = _unitize(raw, against=x)
+            def propose(raw):
+                return _unitize(raw, against=x)
+
+            def score(units):
                 e = rows @ units
                 np.square(e, out=e)
                 if base is not None:
                     e += base
-                return obj.value_from_scratch_energies(e), units
-            best_v, unit = _best_direction(evaluate, strategy, d, rng)
+                return obj.value_from_scratch_energies(e)
+
+            def bound(units):
+                q = np.einsum("ij,ij->j", units, obj.scatter @ units) + offset
+                return bound_of(q)
+            sweep = (_full_sweep(propose, score) if bound_of is None
+                     else _pruned_sweep(propose, score, bound))
+            best_v, unit, candidates, evaluated = _best_direction(sweep, strategy, d, rng)
         if unit is None:
             break
         x = vjoin(x, Direction(unit))
         energies = obj.energies(x)
         value = float(obj.value_from_energies(energies))
-        report.iterations.append({
-            "step": step, "direction": unit.tolist(),
-            "marginal": value - current, "value": value, "height": x.dim,
-        })
+        record = {"step": step, "direction": unit.tolist(),
+                  "marginal": value - current, "value": value, "height": x.dim}
+        if not isinstance(strategy, ExactEigen):
+            record["candidates"], record["evaluated"] = candidates, evaluated
+        report.iterations.append(record)
         current = value
     report.value = float(current)
     report.basis = x.to_json_dict()
@@ -265,6 +409,8 @@ def greedy_knapsack(obj, lat: FiniteLattice, cost, budget) -> SolveReport:
     single irreducible. Zero-cost steps rank first by raw gain."""
     if isinstance(lat, VectorLattice):
         raise TypeError("budgeted greedy runs on finite lattices")
+    if not np.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     if cost.of(lat.bottom) > budget + 1e-12:
         raise ValueError("even the bottom exceeds the budget")
     x = lat.bottom
@@ -411,29 +557,32 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
         if exact:
             if not _is_plain_pca(obj):
                 raise ValueError("the eigenvector step needs a plain quadratic objective")
-            s = gap.T @ (rows.T @ rows) @ gap
+            s = gap.T @ obj.scatter @ gap
             w, v = np.linalg.eigh(s)
             up_unit, up_v = gap @ v[:, -1], fa + float(w[-1])
             down_unit, down_v = gap @ v[:, 0], fb - float(w[0])
         else:
             m = gap.shape[1]
 
-            def eval_up(raw):
-                units = gap @ _unitize(raw)
+            def propose(raw):
+                return gap @ _unitize(raw)
+
+            def score_up(units):
                 e = rows @ units
                 np.square(e, out=e)
                 e += ea[:, None]
-                return obj.value_from_scratch_energies(e), units
+                return obj.value_from_scratch_energies(e)
 
-            def eval_down(raw):
-                units = gap @ _unitize(raw)
+            def score_down(units):
                 e = rows @ units
                 np.square(e, out=e)
                 np.subtract(eb[:, None], e, out=e)
-                return obj.value_from_scratch_energies(e), units
+                return obj.value_from_scratch_energies(e)
 
-            up_v, up_unit = _best_direction(eval_up, strategy, m, rng)
-            down_v, down_unit = _best_direction(eval_down, strategy, m, rng)
+            up_v, up_unit, _, _ = _best_direction(_full_sweep(propose, score_up),
+                                                  strategy, m, rng)
+            down_v, down_unit, _, _ = _best_direction(_full_sweep(propose, score_down),
+                                                      strategy, m, rng)
         alpha, beta = up_v - fa, down_v - fb
         record = {"iteration": it, "alpha": alpha, "beta": beta,
                   "a_height": a.dim, "b_height": b.dim, "a_leq_b": True}

@@ -1,6 +1,7 @@
 """Smoke test of the benchmark harness in `perfbench/`: its tracer still
 finds every name it patches in latmax, and default-seed sessions of the
-two certify workloads pass its output checks and stored fingerprints."""
+two certify workloads and of the subspace search pass its output checks
+and stored fingerprints."""
 
 import contextlib
 import io
@@ -31,7 +32,7 @@ def test_tracer_installs_and_uninstalls():
     assert dictionary.enumerate_lattice is original
 
 
-@pytest.mark.parametrize("workload", ["span-certify", "set-certify"])
+@pytest.mark.parametrize("workload", ["span-certify", "set-certify", "subspace-search"])
 def test_default_seed_sessions_pass_checks(workload, tmp_path):
     checker = checks.Checker(workload, checks.DEFAULT_SEED)
     for i in (0, 1):

@@ -247,3 +247,40 @@ class TestInputErrors:
                    "--graph", str(graph_json)])
         assert rc == 2
         self._one_error_line(capsys, "dimension 3", "ambient dimension is 2")
+
+    def test_cut_objective_on_an_explicit_lattice(self, graph_json, tmp_path, capsys):
+        # element ids of an explicit lattice are not vertex bitmasks
+        path = tmp_path / "m3.json"
+        path.write_text(json.dumps({"kind": "explicit", "n": 5, "cover_edges": [
+            [0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]}))
+        rc = main(["greedy", "--objective", "cut", "--lattice", str(path),
+                   "--graph", str(graph_json), "--k", "2"])
+        assert rc == 2
+        self._one_error_line(capsys, "explicit lattice")
+
+    @pytest.mark.parametrize("edge", [[1, 7], [-1, 2]])
+    def test_cover_edge_outside_the_lattice(self, edge, tmp_path, capsys):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps({"kind": "explicit", "n": 3,
+                                    "cover_edges": [[0, 1], edge]}))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"values": [0.0, 1.0, 2.0]}))
+        rc = main(["greedy", "--objective", "table", "--lattice", str(path),
+                   "--table", str(table), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, f"[{edge[0]}, {edge[1]}]", "missing element")
+
+    @pytest.mark.parametrize("command", ["knapsack", "oracle"])
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget(self, command, budget, table_json, capsys):
+        rc = main([command, "--objective", "table", "--lattice", "set:2",
+                   "--table", str(table_json), "--budget", budget, "--cost", "uniform"])
+        assert rc == 2
+        self._one_error_line(capsys, "--budget", "finite")
+
+    @pytest.mark.parametrize("command", ["greedy", "oracle"])
+    def test_negative_height_cap(self, command, table_json, capsys):
+        rc = main([command, "--objective", "table", "--lattice", "set:2",
+                   "--table", str(table_json), "--k", "-1"])
+        assert rc == 2
+        self._one_error_line(capsys, "--k", "nonnegative")

@@ -1,9 +1,11 @@
 """The step table, the table-driven gap scans and the flat enumeration of
 span lattices against the loop-based code they replaced (`reference.py`):
 identical tables, identical lattice queries, identical span bases, and
-byte-identical gap reports, witnesses included."""
+byte-identical gap reports, witnesses included. Greedy's bound-pruned
+direction search against the full sweep: byte-identical reports."""
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -17,15 +19,20 @@ from latmax.diagnostics import (
 )
 from latmax.dictionary import Dictionary, enumerate_lattice, lattice_coherence_report
 from latmax.lattice import ExplicitLattice, SetLattice
+from latmax import solvers
 from latmax.objectives import (
+    ConcaveRho,
     GeneralizedPCAObjective,
     ModularCost,
+    PCAObjective,
     QuantumCutObjective,
+    SaturatingFamily,
     TableObjective,
     WeightedDigraph,
     fractional_energy_family,
 )
-from latmax.solvers import double_greedy, greedy_height, greedy_knapsack
+from latmax.solvers import Grid, RandomRestart, double_greedy, greedy_height, greedy_knapsack
+from latmax.subspaces import VectorLattice
 
 from conftest import make_chain, make_m3, make_n5
 from test_dictionary import skew_quad, tilted_pair
@@ -170,3 +177,60 @@ def test_coherence_report_matches_reference(dic):
     lat = enumerate_lattice(dic)
     assume(lat.height(lat.top) == dic.ambient_dim)
     assert lattice_coherence_report(lat) == ref.lattice_coherence_report(lat)
+
+
+def direction_data(seed, n, d, shape):
+    """n rows in R^d. "duplicated" repeats a few rows, "axis" scales axis
+    vectors (u and its sign flips tie exactly), "mirrored" pairs each row
+    with its negation and with its first coordinate flipped."""
+    rng = np.random.default_rng(seed)
+    if shape == "duplicated":
+        few = rng.normal(size=(max(1, n // 4), d))
+        return few[rng.integers(0, len(few), n)]
+    if shape == "axis":
+        return np.eye(d)[rng.integers(0, d, n)] * rng.integers(1, 4, (n, 1))
+    if shape == "mirrored":
+        half = rng.normal(size=(-(-n // 4), d))
+        flip = half * np.r_[-1.0, np.ones(d - 1)]
+        return np.vstack([half, -half, flip, -flip])[:n]
+    return rng.normal(size=(n, d)) * rng.uniform(0.2, 2.0, d)
+
+
+def direction_objective(data, kind, level, slope, seed):
+    if kind == "pca":
+        return PCAObjective(data)
+    norms = (data ** 2).sum(axis=1)
+    if kind == "family":
+        spread = np.random.default_rng(seed).uniform(0.0, 2.0, len(norms))
+        return GeneralizedPCAObjective(data, SaturatingFamily(level * spread * norms, slope))
+    return GeneralizedPCAObjective(data, ConcaveRho.capped(level * norms.mean() + 1e-3, slope))
+
+
+def grid_widths(d):
+    # at d = 5 a width of 0.1 would be 2.1 million grid points
+    return st.floats(0.1 if d < 5 else 0.25, 0.5)
+
+
+direction_strategies = st.integers(2, 5).flatmap(lambda d: st.tuples(
+    st.just(d),
+    st.one_of(
+        st.builds(Grid, grid_widths(d), st.integers(0, 1)),
+        st.builds(RandomRestart, st.integers(1, 3000), st.integers(0, 2 ** 16)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(direction_strategies, st.integers(1, 60),
+       st.sampled_from(["gauss", "duplicated", "axis", "mirrored"]),
+       st.sampled_from(["pca", "family", "capped"]),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_pruned_direction_search_matches_full_sweep(dim_strategy, n, shape, kind,
+                                                     level, slope, k, seed):
+    d, strategy = dim_strategy
+    obj = direction_objective(direction_data(seed, n, d, shape), kind, level, slope, seed)
+    pruned = greedy_height(obj, VectorLattice(d), k, strategy=strategy, seed=seed).to_json_dict()
+    with mock.patch.object(solvers, "_energy_bound", lambda obj: None):
+        full = greedy_height(obj, VectorLattice(d), k, strategy=strategy, seed=seed).to_json_dict()
+    for got, want in zip(pruned["iterations"], full["iterations"]):
+        assert 0 < got.pop("evaluated") <= got["candidates"]
+        assert want.pop("evaluated") == want["candidates"]
+    assert json.dumps(pruned) == json.dumps(full)

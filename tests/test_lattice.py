@@ -166,6 +166,11 @@ class TestExplicitLattice:
         with pytest.raises(NotALatticeError):
             ExplicitLattice.from_cover_edges(6, edges)
 
+    @pytest.mark.parametrize("edge", [(1, 3), (-1, 2)])
+    def test_rejects_cover_edges_outside_the_ids(self, edge):
+        with pytest.raises(ValueError, match="missing element"):
+            ExplicitLattice.from_cover_edges(3, [(0, 1), edge])
+
     def test_hasse_recovers_cover_edges(self, n5):
         assert sorted(n5.hasse_edges()) == [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]
 

@@ -151,6 +151,60 @@ class TestGreedyHeightVector:
             runs.append(json.dumps(rep.to_json_dict()))
         assert runs[0] == runs[1]
 
+    def test_pruned_search_scores_few_candidates_exactly(self):
+        from latmax.experiments import MixtureSpec, generate_mixture
+        from latmax.objectives import GeneralizedPCAObjective, fractional_energy_family
+        data = generate_mixture(MixtureSpec())
+        obj = GeneralizedPCAObjective(data, fractional_energy_family(data))
+        rep = greedy_height(obj, VectorLattice(3), 2, strategy=Grid(width=0.05, refine_rounds=1))
+        for it in rep.iterations:
+            # 21 x 41 x 41 grid points less the zero vector, plus 11^3 refined
+            assert it["candidates"] == 21 * 41 * 41 - 1 + 11 ** 3
+            assert 0 < it["evaluated"] < it["candidates"] / 10
+        eigen = greedy_height(PCAObjective(data), VectorLattice(3), 1, strategy=ExactEigen())
+        assert "evaluated" not in eigen.iterations[0]
+
+
+def _unit_batches(rng, d, widths):
+    """Unit columns as the sweep proposes them, one array per batch."""
+    from latmax.solvers import _unitize
+    return [_unitize(rng.normal(size=(d, w))) for w in widths]
+
+
+def _energy_score(rows):
+    from latmax.objectives import GeneralizedPCAObjective, fractional_energy_family
+    obj = GeneralizedPCAObjective(rows, fractional_energy_family(rows))
+
+    def score(units):
+        e = rows @ units
+        np.square(e, out=e)
+        return obj.value_from_scratch_energies(e)
+    return score
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (1000, 3), (1000, 16)])
+def test_padded_columns_match_full_batch_scores(n, d, rng):
+    from latmax.solvers import _CHUNK, _score_columns
+    score = _energy_score(rng.normal(size=(n, d)))
+    (units,) = _unit_batches(rng, d, [_CHUNK])
+    full = score(units)
+    for k in range(1, 10):
+        idx = np.sort(rng.choice(_CHUNK, k, replace=False))
+        assert np.array_equal(_score_columns(score, units[:, idx], "F"), full[idx])
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_batch_scores_match_whole_batches(n, rng):
+    # widths with ragged ends (4093 mod 8 = 5) and a one-column batch
+    from latmax.solvers import _batch_scores
+    score = _energy_score(rng.normal(size=(n, 3)))
+    batches = _unit_batches(rng, 3, [4096, 4093, 13, 1, 300])
+    widths = np.array([b.shape[1] for b in batches])
+    whole = np.concatenate([score(b) for b in batches])
+    for idx in (np.arange(widths.sum()), np.sort(rng.choice(widths.sum(), 40, replace=False)),
+                np.cumsum(widths) - 1):
+        assert np.array_equal(_batch_scores(score, batches, idx), whole[idx])
+
 
 class TestGreedyKnapsack:
     def test_density_order_and_budget_stop(self):
@@ -171,6 +225,12 @@ class TestGreedyKnapsack:
         rep = greedy_knapsack(obj, lat, cost, budget=0.0)
         assert rep.value == 0.0 and rep.element == lat.bottom
         assert rep.iterations == []
+
+    def test_non_finite_budget_rejected(self):
+        lat = SetLattice(2)
+        obj = TableObjective([0, 1, 1, 2])
+        with pytest.raises(ValueError, match="finite"):
+            greedy_knapsack(obj, lat, ModularCost.uniform(lat), float("nan"))
 
     def test_zero_cost_steps_go_first(self):
         lat = SetLattice(3)
