@@ -75,6 +75,9 @@ _GAP_MEASURES = {
 }
 
 
+_REQUIRED_LATTICE_KEYS = {"dictionary": ("atoms",), "explicit": ("n", "cover_edges")}
+
+
 def _read_json(path):
     return json.loads(Path(path).read_text())
 
@@ -85,14 +88,17 @@ def load_lattice(arg: str):
     if arg.startswith("vector:"):
         return VectorLattice(int(arg.split(":", 1)[1]))
     doc = _read_json(arg)
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _REQUIRED_LATTICE_KEYS:
+        raise ValueError(f"unknown lattice kind {kind!r}")
+    for key in _REQUIRED_LATTICE_KEYS[kind]:
+        if key not in doc:
+            raise ValueError(f"{kind} lattice {arg} has no {key!r} key")
     if kind == "dictionary":
         return enumerate_lattice(Dictionary.from_json_dict(doc))
-    if kind == "explicit":
-        edges = [tuple(e) for e in doc["cover_edges"]]
-        return ExplicitLattice.from_cover_edges(int(doc["n"]), edges,
-                                                labels=doc.get("labels"))
-    raise ValueError(f"unknown lattice kind {kind!r}")
+    edges = [tuple(e) for e in doc["cover_edges"]]
+    return ExplicitLattice.from_cover_edges(int(doc["n"]), edges,
+                                            labels=doc.get("labels"))
 
 
 def _load_rho(arg, data):
@@ -229,14 +235,15 @@ def cmd_diagnose(args) -> int:
     directions = list(_GAP_MEASURES) if args.direction == "all" else [args.direction]
     doc: dict = {"reports": {}, "checks": {}}
     failures = []
+    reports = {}
     for direction in directions:
-        rep = _GAP_MEASURES[direction](obj, lat)
+        rep = reports[direction] = _GAP_MEASURES[direction](obj, lat)
         doc["reports"][direction] = rep.to_json_dict()
         if args.max_delta is not None and rep.measured_delta > args.max_delta:
             failures.append(f"{direction} delta {rep.measured_delta:.3e} "
                             f"> {args.max_delta:.3e}")
     if args.check_saturation:
-        check = check_saturation_gap_bound(obj, lat)
+        check = check_saturation_gap_bound(obj, lat, downward=reports.get("downward"))
         doc["checks"]["saturation"] = check.to_json_dict()
         if not check.holds:
             failures.append("saturation bound violated")

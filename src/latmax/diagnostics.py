@@ -8,6 +8,7 @@ lattices only admit sampled lower bounds, flagged as such.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,7 +44,23 @@ class GapReport:
 
 
 def _values(obj, lat):
-    return np.array([obj.value(lat, e) for e in range(lat.n)])
+    vals = np.array([obj.value(lat, e) for e in range(lat.n)])
+    vals.flags.writeable = False
+    return vals
+
+
+_last_values = None  # (weak ref to objective, weak ref to lattice, values)
+
+
+def _value_vector(obj, lat):
+    """Read-only value of every element, built once for consecutive
+    requests on the same objective and lattice. The pair is held by weak
+    references: a dead one matches nothing, so a reused id cannot hit."""
+    global _last_values
+    last = _last_values
+    if last is None or last[0]() is not obj or last[1]() is not lat:
+        last = _last_values = (weakref.ref(obj), weakref.ref(lat), _values(obj, lat))
+    return last[2]
 
 
 def _marginals(lat, vals):
@@ -57,7 +74,7 @@ def _scan_inputs(obj, lat: FiniteLattice, cap: int = 4096):
     """Inputs shared by the scans; refused above ``cap`` elements, before any table."""
     if lat.n > cap:
         raise SizeLimitError(f"{lat.n} elements exceed the gap-scan cap {cap}")
-    vals = _values(obj, lat)
+    vals = _value_vector(obj, lat)
     irr, m, adm = _marginals(lat, vals)
     leq = lat.leq_matrix()
     return vals, irr, m, adm, leq, leq[np.ix_(irr, irr)]
@@ -169,7 +186,7 @@ def reevaluate_witness(obj, lat: FiniteLattice, report: GapReport) -> float:
     w = report.witness
     if w is None:
         raise ValueError("report carries no witness")
-    vals = _values(obj, lat)
+    vals = _value_vector(obj, lat)
     if report.direction == "strong":
         up_a = vals[lat.join(w["a"], w["X"])] - vals[w["X"]]
         up_b = vals[lat.join(w["b"], w["Y"])] - vals[w["Y"]]
@@ -297,17 +314,18 @@ class SaturationGapCheck:
                 "measured_delta": self.measured_delta, "holds": self.holds}
 
 
-def check_saturation_gap_bound(obj, lat: EnumeratedLattice, *,
-                               tol=1e-9) -> SaturationGapCheck:
+def check_saturation_gap_bound(obj, lat: EnumeratedLattice, *, tol=1e-9,
+                               downward: GapReport | None = None) -> SaturationGapCheck:
     """The reshaped-energy objective on a modular span lattice must be
     downward DR-submodular with gap at most
-    3 * mu * slope0 * total_energy / (1 - mu^2)."""
+    3 * mu * slope0 * total_energy / (1 - mu^2). ``downward``, the
+    downward report of the same objective and lattice, skips the scan."""
     if not lat.is_modular():
         raise ValueError("the bound needs a modular span lattice")
     mu = _dictionary.lattice_coherence_report(lat).value
     slope0 = obj.rho.dprime0() if hasattr(obj, "rho") else 1.0
     total = obj.total_energy
     bound = 3.0 * mu * slope0 * total / (1.0 - mu ** 2)
-    rep = measure_downward_gap(obj, lat)
+    rep = downward if downward is not None else measure_downward_gap(obj, lat)
     return SaturationGapCheck(mu, slope0, total, bound, rep.measured_delta,
                               bool(rep.measured_delta <= bound + tol), rep)

@@ -4,20 +4,21 @@ A span is fixed by the set of atoms it contains, its flat, so the span
 lattice is the lattice of flats of the atoms' vector matroid. Spans are
 enumerated over atom subsets in increasing bitmask order and keyed by
 their flats, held as bitmasks; an atom inside the span is one whose
-residual passes the RANK_TOL test `vjoin` uses to drop a column. Order
-is inclusion of flats, join is the element of the union of two flats,
-and meet the element of their intersection, which is again a flat.
+residual passes the RANK_TOL test `vjoin` uses to drop a column. Each
+distinct (element, atom) join is computed once. Order is inclusion of
+flats, join is the element of the union of two flats, and meet the
+element of their intersection, which is again a flat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from latmax.lattice import FiniteLattice, SizeLimitError
 from latmax.subspaces import (
-    EQ_TOL,
     ORTH_TOL,
     RANK_TOL,
     Direction,
@@ -36,6 +37,8 @@ class Dictionary:
         v = np.array(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[0] == 0:
             raise ValueError("dictionary needs a nonempty (n_atoms, d) array")
+        if not np.isfinite(v).all():
+            raise ValueError("dictionary atoms must be finite")
         nrm = np.linalg.norm(v, axis=1)
         if np.abs(nrm - 1.0).max() > ORTH_TOL:
             raise ValueError("dictionary vectors must be unit norm")
@@ -58,7 +61,7 @@ class Dictionary:
         return Direction(self.vectors[i])
 
     def to_json_dict(self) -> dict:
-        return {"kind": "dictionary", "atoms": self.vectors.tolist(), "tolerance": EQ_TOL}
+        return {"kind": "dictionary", "atoms": self.vectors.tolist(), "tolerance": RANK_TOL}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Dictionary":
@@ -82,6 +85,9 @@ class EnumeratedLattice(FiniteLattice):
         gen_masks = [0]
         flats = [0]
         id_of_flat = {0: 0}
+        # the span of an element and an atom is fixed by the pair, so each
+        # distinct pair is joined once, at the first mask that reaches it
+        joined = {}
         elem_of_mask = np.zeros(1 << m, dtype=np.int64)
 
         for mask in range(1, 1 << m):
@@ -89,6 +95,10 @@ class EnumeratedLattice(FiniteLattice):
             prev = int(elem_of_mask[mask ^ low])
             if flats[prev] & low:
                 elem_of_mask[mask] = prev
+                continue
+            found = joined.get((prev, low))
+            if found is not None:
+                elem_of_mask[mask] = found
                 continue
             span = vjoin(subspaces[prev], atoms[low.bit_length() - 1])
             # the atoms inside the span, by vjoin's own residual test
@@ -102,7 +112,7 @@ class EnumeratedLattice(FiniteLattice):
                 subspaces.append(span)
                 gen_masks.append(mask)
                 flats.append(flat)
-            elem_of_mask[mask] = found
+            elem_of_mask[mask] = joined[prev, low] = found
 
         self.n = len(subspaces)
         self.subspaces = tuple(subspaces)
@@ -114,15 +124,20 @@ class EnumeratedLattice(FiniteLattice):
 
         # flats are closed under intersection, so a meet is the element
         # of the common atoms, as a join is that of all atoms of both
-        f = np.array(flats, dtype=np.int64)
+        f = self._flats = np.array(flats, dtype=np.int64)
         self._order = (f[:, None] & ~f) == 0
         self._jt = elem_of_mask[f[:, None] | f]
         self._mt = elem_of_mask[f[:, None] & f]
 
-    @property
-    def atom_elements(self) -> tuple[int, ...]:
-        """Element id of each dictionary vector's line."""
-        return tuple(int(self._elem_of_mask[1 << i]) for i in range(self.dictionary.n_atoms))
+    @cached_property
+    def _join_irreducibles(self) -> tuple[int, ...]:
+        # e is join-irreducible when the join of everything strictly below
+        # it, the element of the union of their flats, falls short of e
+        strict = self._order & ~np.eye(self.n, dtype=bool)
+        below = np.bitwise_or.reduce(np.where(strict, self._flats[:, None], 0), axis=0)
+        # (the bottom, with nothing below, is its own empty join)
+        irr = self._elem_of_mask[below] != np.arange(self.n)
+        return tuple(int(e) for e in np.flatnonzero(irr))
 
     def leq(self, i, j):
         return bool(self._order[i, j])
@@ -161,7 +176,7 @@ class EnumeratedLattice(FiniteLattice):
         return {
             "kind": "dictionary",
             "atoms": self.dictionary.vectors.tolist(),
-            "tolerance": EQ_TOL,
+            "tolerance": RANK_TOL,
             "elements": [s.to_json_dict() for s in self.subspaces],
             "hasse_edges": self.hasse_edges(),
             "is_modular": self.is_modular(),

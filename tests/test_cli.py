@@ -270,6 +270,31 @@ class TestInputErrors:
         assert rc == 2
         self._one_error_line(capsys, f"[{edge[0]}, {edge[1]}]", "missing element")
 
+    def test_non_finite_dictionary_atom(self, tmp_path, capsys):
+        path = tmp_path / "lattice.json"
+        path.write_text('{"kind": "dictionary", "atoms": [[1.0, 0.0], [0.0, NaN]]}')
+        data = tmp_path / "data.csv"
+        np.savetxt(data, np.eye(2), delimiter=",")
+        rc = main(["greedy", "--objective", "gpca", "--lattice", str(path),
+                   "--data", str(data), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, "atoms", "finite")
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"kind": "dictionary"}, "atoms"),
+        ({"kind": "explicit", "cover_edges": [[0, 1]]}, "n"),
+        ({"kind": "explicit", "n": 2}, "cover_edges"),
+    ])
+    def test_lattice_file_missing_a_key(self, doc, key, tmp_path, capsys):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(doc))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"values": [0.0, 1.0]}))
+        rc = main(["greedy", "--objective", "table", "--lattice", str(path),
+                   "--table", str(table), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, doc["kind"], f"no {key!r} key")
+
     @pytest.mark.parametrize("command", ["knapsack", "oracle"])
     @pytest.mark.parametrize("budget", ["nan", "inf"])
     def test_non_finite_budget(self, command, budget, table_json, capsys):

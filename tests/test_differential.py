@@ -1,24 +1,29 @@
 """The step table, the table-driven gap scans and the flat enumeration of
 span lattices against the loop-based code they replaced (`reference.py`):
 identical tables, identical lattice queries, identical span bases, and
-byte-identical gap reports, witnesses included. Greedy's bound-pruned
-direction search against the full sweep: byte-identical reports."""
+byte-identical gap reports, witnesses included. Join-irreducibles read
+off the flats against the generic definition, and the work counts of
+enumeration and `diagnose`. Greedy's bound-pruned direction search
+against the full sweep: byte-identical reports."""
 
 import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from latmax import dictionary as dictionary_module
+from latmax.cli import main
 from latmax.diagnostics import (
     measure_downward_gap,
     measure_strong_gap,
     measure_upward_gap,
 )
 from latmax.dictionary import Dictionary, enumerate_lattice, lattice_coherence_report
-from latmax.lattice import ExplicitLattice, SetLattice
+from latmax.lattice import ExplicitLattice, FiniteLattice, SetLattice
 from latmax import solvers
 from latmax.objectives import (
     ConcaveRho,
@@ -169,6 +174,85 @@ def test_flat_enumeration_matches_reference(dic):
     assert np.array_equal(lat.leq_matrix(), want.order)
     assert np.array_equal(lat.join_table(), want.jt)
     assert np.array_equal(lat.meet_table(), want.mt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dictionaries)
+def test_flat_join_irreducibles_match_definition(dic):
+    lat = enumerate_lattice(dic)
+    assert lat.join_irreducibles() == FiniteLattice._join_irreducibles.func(lat)
+
+
+def counted_enumeration(dic):
+    calls = []
+    vjoin = dictionary_module.vjoin
+
+    def counted(x, other):
+        calls.append(1)
+        return vjoin(x, other)
+
+    with mock.patch.object(dictionary_module, "vjoin", counted):
+        lat = enumerate_lattice(dic)
+    return lat, len(calls)
+
+
+def distinct_joins(lat, n_atoms):
+    """(element, atom) pairs the enumeration reaches with the atom outside
+    the element's flat: the lowest atom of a mask and the element of the rest."""
+    pairs = set()
+    for mask in range(1, 1 << n_atoms):
+        low = mask & -mask
+        prev = int(lat._elem_of_mask[mask ^ low])
+        if not lat._flats[prev] & low:
+            pairs.add((prev, low))
+    return len(pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dictionaries)
+def test_enumeration_joins_each_distinct_pair_once(dic):
+    lat, calls = counted_enumeration(dic)
+    assert calls == distinct_joins(lat, dic.n_atoms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_tilted_planes_take_186_joins(seed):
+    assert counted_enumeration(tilted_plane_dictionary(seed, 3))[1] == 186
+
+
+def write_span_instance(tmp_path, seed):
+    dic = tilted_plane_dictionary(seed, 3)
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(json.dumps(dic.to_json_dict()))
+    data = tmp_path / "data.csv"
+    np.savetxt(data, np.random.default_rng(seed).normal(size=(40, 6)), delimiter=",")
+    return dic, ["--objective", "gpca", "--lattice", str(lattice), "--data", str(data)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_diagnose_evaluates_each_element_once(seed, tmp_path, capsys):
+    dic, instance = write_span_instance(tmp_path, seed)
+    value = PCAObjective.value
+    calls = []
+
+    def counted(obj, lat, e):
+        calls.append(e)
+        return value(obj, lat, e)
+
+    with mock.patch.object(PCAObjective, "value", counted):
+        main(["diagnose", *instance, "--direction", "all", "--check-saturation"])
+    assert sorted(calls) == list(range(enumerate_lattice(dic).n))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_saturation_check_same_with_handed_in_downward_report(seed, tmp_path, capsys):
+    _, instance = write_span_instance(tmp_path, seed)
+    checks = []
+    for direction in ("all", "upward"):  # only "all" hands the scan over
+        capsys.readouterr()
+        main(["diagnose", *instance, "--direction", direction, "--check-saturation"])
+        checks.append(json.loads(capsys.readouterr().out)["checks"]["saturation"])
+    assert json.dumps(checks[0]) == json.dumps(checks[1])
 
 
 @settings(max_examples=40, deadline=None)

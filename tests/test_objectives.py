@@ -110,8 +110,8 @@ class TestPCA:
         vals = {lat.height(e): obj.value(lat, e) for e in range(lat.n)
                 if lat.height(e) != 1}
         assert vals == {0: 0.0, 2: 30.0}
-        e2 = next(e for e in lat.atom_elements
-                  if abs(lat.payload(e).basis[1, 0]) > 0.9)
+        atom_lines = (int(lat._elem_of_mask[1 << i]) for i in range(2))
+        e2 = next(e for e in atom_lines if abs(lat.payload(e).basis[1, 0]) > 0.9)
         assert abs(marginal(obj, lat, e2, lat.bottom) - 20.0) < 1e-12
         with pytest.raises(ValueError):
             marginal(obj, lat, e2, lat.top)
