@@ -75,11 +75,34 @@ _GAP_MEASURES = {
 }
 
 
-_REQUIRED_LATTICE_KEYS = {"dictionary": ("atoms",), "explicit": ("n", "cover_edges")}
+# the keys each JSON input must hold; an input with a "kind" is checked
+# for the keys of its kind
+_REQUIRED_KEYS = {
+    "lattice": {"dictionary": ("atoms",), "explicit": ("n", "cover_edges")},
+    "reshaping": {"identity": (), "capped": ("threshold",), "knots": ("t", "y"),
+                  "saturating_family": ("thresholds",)},
+    "table": ("values",),
+    "graph": ("vertices", "edges"),
+    "cost": ("increments",),
+    "dictionary": ("atoms",),
+}
 
 
-def _read_json(path):
-    return json.loads(Path(path).read_text())
+def _read_json(path, what: str) -> dict:
+    """Parse the JSON ``what`` input at ``path``, refusing it when a key it
+    needs is missing. A bare string stands for ``{"kind": string}``."""
+    doc = json.loads(Path(path).read_text())
+    need = _REQUIRED_KEYS[what]
+    if isinstance(need, dict):
+        doc = {"kind": doc} if isinstance(doc, str) else doc
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind not in need:
+            raise ValueError(f"unknown {what} kind {kind!r}")
+        need, what = need[kind], f"{kind} {what}"
+    for key in need:
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"{what} {path} has no {key!r} key")
+    return doc
 
 
 def load_lattice(arg: str):
@@ -87,14 +110,8 @@ def load_lattice(arg: str):
         return SetLattice(int(arg.split(":", 1)[1]))
     if arg.startswith("vector:"):
         return VectorLattice(int(arg.split(":", 1)[1]))
-    doc = _read_json(arg)
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in _REQUIRED_LATTICE_KEYS:
-        raise ValueError(f"unknown lattice kind {kind!r}")
-    for key in _REQUIRED_LATTICE_KEYS[kind]:
-        if key not in doc:
-            raise ValueError(f"{kind} lattice {arg} has no {key!r} key")
-    if kind == "dictionary":
+    doc = _read_json(arg, "lattice")
+    if doc["kind"] == "dictionary":
         return enumerate_lattice(Dictionary.from_json_dict(doc))
     edges = [tuple(e) for e in doc["cover_edges"]]
     return ExplicitLattice.from_cover_edges(int(doc["n"]), edges,
@@ -114,7 +131,7 @@ def _load_rho(arg, data):
         fraction = float(parts[1]) if len(parts) > 1 else 0.01
         slope = float(parts[2]) if len(parts) > 2 else 0.1
         return fractional_energy_family(data, fraction, slope)
-    return rho_from_json_dict(_read_json(arg))
+    return rho_from_json_dict(_read_json(arg, "reshaping"))
 
 
 def load_objective(args, lat):
@@ -126,7 +143,7 @@ def load_objective(args, lat):
             raise ValueError("--objective table requires --table")
         if not isinstance(lat, FiniteLattice):
             raise ValueError("--objective table needs a finite lattice")
-        obj = TableObjective(_read_json(args.table)["values"])
+        obj = TableObjective(_read_json(args.table, "table")["values"])
         if obj.values.size != lat.n:
             raise ValueError(f"--table holds {obj.values.size} values, lattice has {lat.n} elements")
         return obj
@@ -145,7 +162,8 @@ def load_objective(args, lat):
         if isinstance(lat, ExplicitLattice):
             raise ValueError(f"--objective {name} needs vertex sets or subspaces as elements; "
                              f"an explicit lattice has neither")
-        obj = QuantumCutObjective(WeightedDigraph.from_json_dict(_read_json(args.graph)))
+        graph = WeightedDigraph.from_json_dict(_read_json(args.graph, "graph"))
+        obj = QuantumCutObjective(graph)
         if isinstance(lat, SetLattice) and obj.graph.n_vertices != lat.n_items:
             raise ValueError(f"--graph has {obj.graph.n_vertices} vertices, "
                              f"lattice has {lat.n_items} items")
@@ -166,7 +184,7 @@ def _load_cost(arg, lat):
         parts = arg.split(":")
         step = float(parts[1]) if len(parts) > 1 else 1.0
         return ModularCost.uniform(lat, step=step)
-    doc = _read_json(arg)
+    doc = _read_json(arg, "cost")
     incs = {int(k): float(v) for k, v in doc["increments"].items()}
     return ModularCost(lat, incs, base=float(doc.get("base", 0.0)))
 
@@ -248,7 +266,7 @@ def cmd_diagnose(args) -> int:
         if not check.holds:
             failures.append("saturation bound violated")
     if args.check_coherence:
-        dic = Dictionary.from_json_dict(_read_json(args.check_coherence))
+        dic = Dictionary.from_json_dict(_read_json(args.check_coherence, "dictionary"))
         check = check_coherence_bound(dic)
         doc["checks"]["coherence"] = check.to_json_dict()
         if check.applicable and not check.holds:
@@ -362,7 +380,7 @@ def main(argv=None) -> int:
     try:
         _check_limits(args)
         return args.func(args)
-    except (ValueError, TypeError, KeyError, NotALatticeError,
+    except (ValueError, TypeError, NotALatticeError,
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

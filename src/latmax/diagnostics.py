@@ -70,10 +70,15 @@ def _marginals(lat, vals):
     return lat.join_irreducibles(), np.where(adm, vals[steps] - vals, np.nan), adm
 
 
-def _scan_inputs(obj, lat: FiniteLattice, cap: int = 4096):
-    """Inputs shared by the scans; refused above ``cap`` elements, before any table."""
+def _check_scan_cap(lat: FiniteLattice, cap: int = 4096) -> None:
+    """Refuse a lattice above ``cap`` elements, before any table is built."""
     if lat.n > cap:
         raise SizeLimitError(f"{lat.n} elements exceed the gap-scan cap {cap}")
+
+
+def _scan_inputs(obj, lat: FiniteLattice):
+    """Inputs shared by the scans."""
+    _check_scan_cap(lat)
     vals = _value_vector(obj, lat)
     irr, m, adm = _marginals(lat, vals)
     leq = lat.leq_matrix()
@@ -221,6 +226,7 @@ def check_prop1_equivalence(lat: FiniteLattice, trials: int, *, seed=0,
                             tol=1e-12) -> bool:
     """On a distributive lattice the three gap measurements must agree,
     and every closure must be a singleton."""
+    _check_scan_cap(lat)
     if not lat.is_distributive():
         raise ValueError("equivalence check needs a distributive lattice")
     for col in lat.steps.T:

@@ -13,7 +13,6 @@ element of their intersection, which is again a flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -69,7 +68,7 @@ class Dictionary:
 
 
 class EnumeratedLattice(FiniteLattice):
-    """Span lattice of a dictionary: each element is stored with its flat,
+    """Span lattice of a dictionary: each element is keyed by its flat,
     the bitmask of the atoms its span contains."""
 
     def __init__(self, dictionary: Dictionary, cap: int = 12):
@@ -120,36 +119,14 @@ class EnumeratedLattice(FiniteLattice):
         self._elem_of_mask = elem_of_mask
         self.bottom = 0
         self.top = int(elem_of_mask[-1])
-        self._dims = np.array([s.dim for s in subspaces])
+        self.heights = np.array([s.dim for s in subspaces])
 
         # flats are closed under intersection, so a meet is the element
         # of the common atoms, as a join is that of all atoms of both
-        f = self._flats = np.array(flats, dtype=np.int64)
-        self._order = (f[:, None] & ~f) == 0
-        self._jt = elem_of_mask[f[:, None] | f]
-        self._mt = elem_of_mask[f[:, None] & f]
-
-    @cached_property
-    def _join_irreducibles(self) -> tuple[int, ...]:
-        # e is join-irreducible when the join of everything strictly below
-        # it, the element of the union of their flats, falls short of e
-        strict = self._order & ~np.eye(self.n, dtype=bool)
-        below = np.bitwise_or.reduce(np.where(strict, self._flats[:, None], 0), axis=0)
-        # (the bottom, with nothing below, is its own empty join)
-        irr = self._elem_of_mask[below] != np.arange(self.n)
-        return tuple(int(e) for e in np.flatnonzero(irr))
-
-    def leq(self, i, j):
-        return bool(self._order[i, j])
-
-    def join(self, i, j):
-        return int(self._jt[i, j])
-
-    def meet(self, i, j):
-        return int(self._mt[i, j])
-
-    def height(self, i):
-        return int(self._dims[i])
+        f = np.array(flats, dtype=np.int64)
+        self._leq = (f[:, None] & ~f) == 0
+        self._join_table = elem_of_mask[f[:, None] | f]
+        self._meet_table = elem_of_mask[f[:, None] & f]
 
     def payload(self, i) -> Subspace:
         return self.subspaces[i]
@@ -157,20 +134,6 @@ class EnumeratedLattice(FiniteLattice):
     def label(self, i):
         bits = [str(k) for k in range(self.dictionary.n_atoms) if self.gen_masks[i] >> k & 1]
         return "span{" + ",".join(bits) + "}"
-
-    def join_table(self):
-        return self._jt
-
-    def meet_table(self):
-        return self._mt
-
-    @property
-    def _leq(self):
-        return self._order
-
-    @property
-    def heights(self):
-        return self._dims
 
     def to_json_dict(self) -> dict:
         return {

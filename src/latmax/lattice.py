@@ -22,28 +22,34 @@ class SizeLimitError(ValueError):
 
 
 class FiniteLattice:
-    """Base class: subclasses provide n, leq, join, meet, height, bottom, top.
+    """A finite lattice on ids 0..n-1, held as four arrays that every
+    subclass sets: the order ``_leq`` (``_leq[i, j]`` is i <= j), the
+    ``_join_table`` and ``_meet_table`` of element ids, and ``heights``.
 
-    Generic operations (admissibility, closure, incrementality, Hasse
-    edges, modularity and distributivity scans) are implemented here on
-    top of those primitives, the cached order matrix and the step table.
+    The scalar queries and the generic operations (admissibility, closure,
+    incrementality, Hasse edges, modularity and distributivity) read those
+    arrays, the join-irreducibles and the step table derived from them.
     """
 
     n: int
     bottom: int
     top: int
+    _leq: np.ndarray
+    _join_table: np.ndarray
+    _meet_table: np.ndarray
+    heights: np.ndarray
 
     def leq(self, i: int, j: int) -> bool:
-        raise NotImplementedError
+        return bool(self._leq[i, j])
 
     def join(self, i: int, j: int) -> int:
-        raise NotImplementedError
+        return int(self._join_table[i, j])
 
     def meet(self, i: int, j: int) -> int:
-        raise NotImplementedError
+        return int(self._meet_table[i, j])
 
     def height(self, i: int) -> int:
-        raise NotImplementedError
+        return int(self.heights[i])
 
     def payload(self, i: int):
         """Semantic value behind an element id (mask, subspace, ...)."""
@@ -52,57 +58,27 @@ class FiniteLattice:
     def label(self, i: int) -> str:
         return str(self.payload(i))
 
-    @cached_property
-    def _leq(self) -> np.ndarray:
-        # in a lattice i <= j exactly when i join j is j
-        return self.join_table() == np.arange(self.n)
-
     def leq_matrix(self) -> np.ndarray:
         out = self._leq.copy()
         out.flags.writeable = False
         return out
 
-    @cached_property
-    def _join_table(self) -> np.ndarray:
-        t = np.empty((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                t[i, j] = t[j, i] = self.join(i, j)
-        return t
-
     def join_table(self) -> np.ndarray:
         return self._join_table
-
-    @cached_property
-    def _meet_table(self) -> np.ndarray:
-        t = np.empty((self.n, self.n), dtype=np.int64)
-        for i in range(self.n):
-            for j in range(i, self.n):
-                t[i, j] = t[j, i] = self.meet(i, j)
-        return t
 
     def meet_table(self) -> np.ndarray:
         return self._meet_table
 
     @cached_property
-    def heights(self) -> np.ndarray:
-        return np.array([self.height(i) for i in range(self.n)])
-
-    @cached_property
     def _join_irreducibles(self) -> tuple[int, ...]:
-        # By definition: no pair of strictly smaller elements joins to e.
-        # The bottom is the empty join and is excluded.
-        out = []
-        leq = self._leq
-        jt = self.join_table()
-        for e in range(self.n):
-            if e == self.bottom:
-                continue
-            below = np.flatnonzero(leq[:, e] & (np.arange(self.n) != e))
-            if below.size and (jt[np.ix_(below, below)] == e).any():
-                continue
-            out.append(e)
-        return tuple(out)
+        # e is join-reducible exactly when it is the join of two elements
+        # other than itself, which then both lie strictly below it; the
+        # bottom is the empty join and is excluded
+        jt = self._join_table
+        ids = np.arange(self.n)
+        irr = ids != self.bottom
+        irr[jt[(jt != ids[:, None]) & (jt != ids)]] = False
+        return tuple(int(e) for e in np.flatnonzero(irr))
 
     def join_irreducibles(self) -> tuple[int, ...]:
         return self._join_irreducibles
@@ -112,7 +88,7 @@ class FiniteLattice:
         """steps[i, x]: the join of irreducible i with x when that is an
         admissible step (irreducible i not below x, everything strictly
         below it below x), else -1."""
-        leq, jt = self._leq, self.join_table()
+        leq, jt = self._leq, self._join_table
         out = np.full((len(self._join_irreducibles), self.n), -1, dtype=np.int64)
         for i, a in enumerate(self._join_irreducibles):
             below = leq[:, a] & (np.arange(self.n) != a)
@@ -164,22 +140,25 @@ class FiniteLattice:
         lhs = h[:, None] + h[None, :]
         return bool((lhs == h[jt] + h[mt]).all())
 
-    def is_distributive(self, cap: int = 1024) -> bool:
-        if self.n > cap:
-            raise SizeLimitError(f"distributivity scan over {self.n}^3 triples exceeds cap")
-        jt, mt = self.join_table(), self.meet_table()
-        for z in range(self.n):
-            jz = jt[:, z]
-            # (x∧y)∨z vs (x∨z)∧(y∨z) for all x, y at this z
-            lhs = jt[mt, z]
-            rhs = mt[np.ix_(jz, jz)]
-            if not (lhs == rhs).all():
+    def is_distributive(self) -> bool:
+        """Birkhoff's test: a finite lattice is distributive exactly when
+        every join-irreducible j is join-prime, that is j <= x∨y only if
+        j <= x or j <= y (Davey and Priestley, Introduction to Lattices
+        and Order)."""
+        jt = self._join_table
+        for j in self._join_irreducibles:
+            up = self._leq[j]
+            if (up[jt] & ~up[:, None] & ~up).any():
                 return False
         return True
 
 
 class SetLattice(FiniteLattice):
-    """Subset lattice of {0,...,n_items-1}; element ids are bitmasks."""
+    """Subset lattice of {0,...,n_items-1}; element ids are bitmasks.
+
+    Scalar queries are bit operations, and each array is derived from the
+    ids the first time it is read, so a solver that asks only scalar
+    queries builds no whole-lattice table."""
 
     def __init__(self, n_items: int):
         if n_items < 0:
@@ -207,6 +186,31 @@ class SetLattice(FiniteLattice):
         return "{" + ",".join(str(k) for k in range(self.n_items) if i >> k & 1) + "}"
 
     @cached_property
+    def _leq(self):
+        # the narrowest unsigned ids keep the n x n temporary small
+        ids = np.arange(self.n, dtype=np.min_scalar_type(self.top))
+        return (ids[:, None] | ids) == ids
+
+    @cached_property
+    def _join_table(self):
+        ids = np.arange(self.n)
+        return ids[:, None] | ids
+
+    @cached_property
+    def _meet_table(self):
+        ids = np.arange(self.n)
+        return ids[:, None] & ids
+
+    @cached_property
+    def heights(self):
+        # popcounts: those of 2^(k+1) ids are those of 2^k, then the same
+        # plus one for item k (np.bitwise_count needs numpy 2)
+        h = np.zeros(1, dtype=np.int64)
+        for _ in range(self.n_items):
+            h = np.concatenate([h, h + 1])
+        return h
+
+    @cached_property
     def _join_irreducibles(self):
         return tuple(1 << k for k in range(self.n_items))
 
@@ -225,17 +229,6 @@ class SetLattice(FiniteLattice):
         return 1
 
     @cached_property
-    def _leq(self):
-        # the narrowest unsigned ids keep the n x n temporary small
-        ids = np.arange(self.n, dtype=np.min_scalar_type(self.top))
-        return (ids[:, None] | ids) == ids
-
-    @cached_property
-    def _join_table(self):
-        ids = np.arange(self.n)
-        return ids[:, None] | ids
-
-    @cached_property
     def steps(self):
         ids = np.arange(self.n)
         bits = 1 << np.arange(self.n_items)[:, None]
@@ -250,7 +243,8 @@ class ExplicitLattice(FiniteLattice):
     computed by uniqueness scans, raising NotALatticeError otherwise."""
 
     def __init__(self, leq: np.ndarray, labels: list[str] | None = None):
-        leq = np.asarray(leq, dtype=bool)
+        # a copy: the caller's matrix must not change the order under the tables
+        leq = np.array(leq, dtype=bool)
         n = leq.shape[0]
         if leq.shape != (n, n):
             raise ValueError("order matrix must be square")
@@ -262,7 +256,7 @@ class ExplicitLattice(FiniteLattice):
         if (closure & ~leq).any():
             raise ValueError("order must be transitive")
         self.n = n
-        self._order = leq
+        self._leq = leq
         self._labels = labels
         bottoms = np.flatnonzero(leq.all(axis=1))
         tops = np.flatnonzero(leq.all(axis=0))
@@ -270,11 +264,17 @@ class ExplicitLattice(FiniteLattice):
             raise NotALatticeError("lattice needs a unique bottom and top")
         self.bottom = int(bottoms[0])
         self.top = int(tops[0])
-        self._jt = self._bound_table(upper=True)
-        self._mt = self._bound_table(upper=False)
+        # longest chain from the bottom, by increasing number of elements below
+        self.heights = np.zeros(n, dtype=np.int64)
+        strict = leq & ~np.eye(n, dtype=bool)
+        for e in np.argsort(leq.sum(axis=0), kind="stable"):
+            below = np.flatnonzero(strict[:, e])
+            self.heights[e] = 1 + self.heights[below].max() if below.size else 0
+        self._join_table = self._bound_table(upper=True)
+        self._meet_table = self._bound_table(upper=False)
 
     def _bound_table(self, upper: bool) -> np.ndarray:
-        leq = self._order
+        leq = self._leq
         n = self.n
         t = np.empty((n, n), dtype=np.int64)
         for i in range(n):
@@ -293,16 +293,6 @@ class ExplicitLattice(FiniteLattice):
                 t[i, j] = t[j, i] = best
         return t
 
-    @cached_property
-    def heights(self):
-        # longest chain from the bottom, by increasing number of elements below
-        order = self._order
-        h = np.zeros(self.n, dtype=np.int64)
-        for i in sorted(range(self.n), key=lambda e: int(order[:, e].sum())):
-            below = np.flatnonzero(order[:, i] & (np.arange(self.n) != i))
-            h[i] = 1 + h[below].max() if below.size else 0
-        return h
-
     @classmethod
     def from_cover_edges(cls, n: int, edges: list[tuple[int, int]],
                          labels: list[str] | None = None) -> "ExplicitLattice":
@@ -319,28 +309,6 @@ class ExplicitLattice(FiniteLattice):
                 break
             leq = new
         return cls(leq, labels=labels)
-
-    def leq(self, i, j):
-        return bool(self._order[i, j])
-
-    def join(self, i, j):
-        return int(self._jt[i, j])
-
-    def meet(self, i, j):
-        return int(self._mt[i, j])
-
-    def height(self, i):
-        return int(self.heights[i])
-
-    def join_table(self):
-        return self._jt
-
-    def meet_table(self):
-        return self._mt
-
-    @cached_property
-    def _leq(self):
-        return self._order
 
     def label(self, i):
         return self._labels[i] if self._labels else str(i)

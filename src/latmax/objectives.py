@@ -139,12 +139,6 @@ class SaturatingFamily:
         th = self.thresholds if e.ndim == 1 else self.thresholds[:, None]
         return np.minimum(e, self.slope * e + (1.0 - self.slope) * th)
 
-    def row(self, i) -> ConcaveRho:
-        th = float(self.thresholds[i])
-        if th == 0.0:
-            return ConcaveRho.from_knots([0.0, 1.0], [0.0, self.slope])
-        return ConcaveRho.capped(th, self.slope)
-
     def dprime0(self) -> float:
         return self.slope if (self.thresholds == 0).all() else 1.0
 

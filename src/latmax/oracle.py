@@ -41,8 +41,3 @@ def brute_force_max(obj, lat: FiniteLattice, *, height_cap=None, cost=None,
     if best is None:
         raise ValueError("no feasible element")
     return BruteForceResult(best, float(best_v), feasible)
-
-
-def ratio_holds(achieved, optimum, ratio, additive=0.0, slack=1e-9) -> bool:
-    """Check achieved >= ratio * optimum - additive, with float slack."""
-    return achieved >= ratio * optimum - additive - slack

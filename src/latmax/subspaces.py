@@ -47,12 +47,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.T
 
-    def contains(self, v: np.ndarray, tol: float = ORTH_TOL) -> bool:
-        v = np.asarray(v, dtype=float)
-        return float(np.linalg.norm(v - self.basis @ (self.basis.T @ v))) <= tol * max(
-            1.0, float(np.linalg.norm(v))
-        )
-
     @classmethod
     def bottom(cls, d: int) -> "Subspace":
         return cls(np.zeros((d, 0)))
@@ -181,21 +175,6 @@ class VectorLattice:
 
     def top(self) -> Subspace:
         return Subspace.top(self.d)
-
-    def join(self, x: Subspace, other) -> Subspace:
-        return vjoin(x, other)
-
-    def meet(self, x: Subspace, y: Subspace) -> Subspace:
-        return vmeet(x, y)
-
-    def leq(self, x: Subspace, y: Subspace) -> bool:
-        return subspace_leq(x, y)
-
-    def height(self, x: Subspace) -> int:
-        return x.dim
-
-    def lattice_height(self) -> int:
-        return self.d
 
     def incrementality(self) -> int:
         # joining one line raises dimension by at most one

@@ -4,6 +4,15 @@ import pytest
 from latmax.lattice import ExplicitLattice
 
 
+# the whole-lattice arrays a SetLattice builds on first read
+WHOLE_LATTICE_TABLES = {"steps", "_leq", "_join_table", "_meet_table", "heights"}
+
+
+def ratio_holds(achieved, optimum, ratio, additive=0.0, slack=1e-9) -> bool:
+    """Check achieved >= ratio * optimum - additive, with float slack."""
+    return achieved >= ratio * optimum - additive - slack
+
+
 def make_chain(length):
     """Total order 0 < 1 < ... < length."""
     n = length + 1

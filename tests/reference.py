@@ -1,8 +1,12 @@
 """Loop-based implementations that the step table and the flat
-enumeration replaced.
+enumeration replaced, and lattice tables by their definitions.
 
-Lattice queries and the three gap scans as they were written before
-`FiniteLattice.steps` existed: admissibility from the order matrix one
+The order, join, meet and height tables and the join-irreducibles of a
+finite lattice from the elements themselves (bitmasks, subspaces, or an
+explicit lattice's given order) by order scans and longest chains, and
+distributivity by the scan over all triples that Birkhoff's test
+replaced. Lattice queries and the three gap scans as they were written
+before `FiniteLattice.steps` existed: admissibility from the order matrix one
 (irreducible, element) pair at a time, closures by rescanning the
 admissible set, and marginals filled one entry per call. The span
 enumerator as it was written before elements were keyed by their flats:
@@ -20,8 +24,71 @@ from types import SimpleNamespace
 import numpy as np
 
 from latmax.diagnostics import GapReport
-from latmax.dictionary import CoherenceReport, _alignment
-from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, vjoin
+from latmax.dictionary import CoherenceReport, EnumeratedLattice, _alignment
+from latmax.lattice import SetLattice
+from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, subspace_leq, vjoin
+
+
+def order(lat):
+    """order[i, j] is i <= j: inclusion of bitmasks on a set lattice,
+    containment of subspaces on a span lattice; an explicit lattice's
+    order is the one it was given."""
+    if isinstance(lat, SetLattice):
+        return np.array([[i & ~j == 0 for j in range(lat.n)] for i in range(lat.n)])
+    if isinstance(lat, EnumeratedLattice):
+        subs = lat.subspaces
+        return np.array([[subspace_leq(x, y) for y in subs] for x in subs])
+    return lat.leq_matrix()
+
+
+def bound_tables(leq):
+    """Join and meet tables by scanning all common upper and lower bounds
+    for the one below, or above, every other."""
+    n = len(leq)
+    jt = np.empty((n, n), dtype=np.int64)
+    mt = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            ups = np.flatnonzero(leq[i] & leq[j])
+            (jt[i, j],) = [u for u in ups if leq[u, ups].all()]
+            downs = np.flatnonzero(leq[:, i] & leq[:, j])
+            (mt[i, j],) = [d for d in downs if leq[downs, d].all()]
+    return jt, mt
+
+
+def heights(leq):
+    """Longest chain up from the bottom: raise h[y] to h[x] + 1 over all
+    x < y until nothing changes."""
+    strict = leq & ~np.eye(len(leq), dtype=bool)
+    h = np.zeros(len(leq), dtype=np.int64)
+    while True:
+        new = np.where(strict, h[:, None] + 1, 0).max(axis=0)
+        if np.array_equal(new, h):
+            return h
+        h = new
+
+
+def join_irreducibles(leq, jt):
+    """By definition: no pair of strictly smaller elements joins to e.
+    The bottom, the empty join, is excluded."""
+    n = len(leq)
+    bottom = int(np.flatnonzero(leq.all(axis=1))[0])
+    out = []
+    for e in range(n):
+        below = np.flatnonzero(leq[:, e] & (np.arange(n) != e))
+        if e != bottom and not (jt[np.ix_(below, below)] == e).any():
+            out.append(e)
+    return tuple(out)
+
+
+def is_distributive(lat):
+    """(x∧y)∨z == (x∨z)∧(y∨z) over all triples."""
+    jt, mt = lat.join_table(), lat.meet_table()
+    for z in range(lat.n):
+        jz = jt[:, z]
+        if not (jt[mt, z] == mt[np.ix_(jz, jz)]).all():
+            return False
+    return True
 
 
 def leq_matrix(lat):

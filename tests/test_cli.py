@@ -295,6 +295,34 @@ class TestInputErrors:
         assert rc == 2
         self._one_error_line(capsys, doc["kind"], f"no {key!r} key")
 
+    @pytest.mark.parametrize("flag, doc, key", [
+        ("--table", {"value": [0.0, 1.0, 2.0, 3.0]}, "values"),
+        ("--graph", {"edges": [[0, 1, 1.0]]}, "vertices"),
+        ("--graph", {"vertices": np.eye(2).tolist()}, "edges"),
+        ("--cost", {"base": 0.0}, "increments"),
+        ("--check-coherence", {"kind": "dictionary"}, "atoms"),
+        ("--rho", {"kind": "capped"}, "threshold"),
+        ("--rho", "capped", "threshold"),
+        ("--rho", {"kind": "knots", "t": [0.0, 1.0]}, "y"),
+        ("--rho", {"kind": "saturating_family", "slope": 0.1}, "thresholds"),
+    ])
+    def test_json_input_missing_a_key(self, flag, doc, key, tmp_path, table_json,
+                                      data_csv, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        table = ["--objective", "table", "--lattice", "set:2", "--table", str(table_json)]
+        argv = {
+            "--table": ["greedy", *table[:4], "--table", str(path), "--k", "1"],
+            "--graph": ["greedy", "--objective", "cut", "--lattice", "set:2",
+                        "--graph", str(path), "--k", "1"],
+            "--cost": ["knapsack", *table, "--budget", "1", "--cost", str(path)],
+            "--check-coherence": ["diagnose", *table, "--check-coherence", str(path)],
+            "--rho": ["greedy", "--objective", "gpca", "--lattice", "vector:3",
+                      "--data", str(data_csv), "--rho", str(path), "--k", "1"],
+        }[flag]
+        assert main(argv) == 2
+        self._one_error_line(capsys, str(path), f"no {key!r} key")
+
     @pytest.mark.parametrize("command", ["knapsack", "oracle"])
     @pytest.mark.parametrize("budget", ["nan", "inf"])
     def test_non_finite_budget(self, command, budget, table_json, capsys):

@@ -22,7 +22,7 @@ from latmax.objectives import (
     TableObjective,
 )
 
-from conftest import make_chain, random_orthonormal
+from conftest import WHOLE_LATTICE_TABLES, make_chain, random_orthonormal
 from test_dictionary import skew_quad, tilted_pair
 
 
@@ -144,7 +144,9 @@ class TestGapScans:
         for measure in (measure_strong_gap, measure_downward_gap, measure_upward_gap):
             with pytest.raises(SizeLimitError, match="cap 4096"):
                 measure(obj, lat)
-        assert not {"steps", "_leq", "_join_table"} & set(lat.__dict__)
+        with pytest.raises(SizeLimitError, match="cap 4096"):
+            check_prop1_equivalence(lat, 1)
+        assert not WHOLE_LATTICE_TABLES & set(lat.__dict__)
 
     def test_strong_dominates_directional(self, rng, m3, n5):
         for lat in (SetLattice(4), m3, n5):
@@ -209,6 +211,7 @@ class TestEquivalence:
     def test_boolean_lattices_pass(self):
         assert check_prop1_equivalence(SetLattice(3), 20)
         assert check_prop1_equivalence(SetLattice(4), 5)
+        assert check_prop1_equivalence(SetLattice(10), 3)
 
     def test_chain_passes(self):
         assert check_prop1_equivalence(make_chain(4), 10)

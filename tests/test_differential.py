@@ -1,10 +1,12 @@
 """The step table, the table-driven gap scans and the flat enumeration of
 span lattices against the loop-based code they replaced (`reference.py`):
 identical tables, identical lattice queries, identical span bases, and
-byte-identical gap reports, witnesses included. Join-irreducibles read
-off the flats against the generic definition, and the work counts of
-enumeration and `diagnose`. Greedy's bound-pruned direction search
-against the full sweep: byte-identical reports."""
+byte-identical gap reports, witnesses included. Every lattice's order,
+join, meet and height tables and join-irreducibles against the same built
+by definition from its elements, Birkhoff's distributivity test against
+the triple scan, and the work counts of enumeration and `diagnose`.
+Greedy's bound-pruned direction search against the full sweep:
+byte-identical reports."""
 
 import json
 from unittest import mock
@@ -23,7 +25,7 @@ from latmax.diagnostics import (
     measure_upward_gap,
 )
 from latmax.dictionary import Dictionary, enumerate_lattice, lattice_coherence_report
-from latmax.lattice import ExplicitLattice, FiniteLattice, SetLattice
+from latmax.lattice import ExplicitLattice, SetLattice
 from latmax import solvers
 from latmax.objectives import (
     ConcaveRho,
@@ -39,7 +41,7 @@ from latmax.objectives import (
 from latmax.solvers import Grid, RandomRestart, double_greedy, greedy_height, greedy_knapsack
 from latmax.subspaces import VectorLattice
 
-from conftest import make_chain, make_m3, make_n5
+from conftest import WHOLE_LATTICE_TABLES, make_chain, make_m3, make_n5
 from test_dictionary import skew_quad, tilted_pair
 
 SCANS = ((measure_strong_gap, ref.measure_strong_gap),
@@ -116,7 +118,20 @@ def objective(lat, kind, seed):
 @settings(max_examples=60, deadline=None)
 @given(lattices)
 def test_step_table_and_queries_match_reference(lat):
-    assert np.array_equal(lat.leq_matrix(), ref.leq_matrix(lat))
+    leq = ref.order(lat)
+    jt, mt = ref.bound_tables(leq)
+    h = ref.heights(leq)
+    assert np.array_equal(lat.leq_matrix(), leq)
+    assert np.array_equal(lat.join_table(), jt)
+    assert np.array_equal(lat.meet_table(), mt)
+    assert np.array_equal(lat.heights, h)
+    assert lat.join_irreducibles() == ref.join_irreducibles(leq, jt)
+    # the scalar queries, bitmask overrides included, agree with the tables
+    assert np.array_equal(ref.leq_matrix(lat), leq)
+    ids = range(lat.n)
+    assert [[lat.join(i, j) for j in ids] for i in ids] == jt.tolist()
+    assert [[lat.meet(i, j) for j in ids] for i in ids] == mt.tolist()
+    assert [lat.height(i) for i in ids] == h.tolist()
     steps = lat.steps
     assert steps.dtype == np.int64
     assert np.array_equal(steps, ref.steps(lat))
@@ -129,6 +144,12 @@ def test_step_table_and_queries_match_reference(lat):
         assert lat.is_join_irreducible(a)
         for x in range(lat.n):
             assert lat.is_admissible(a, x) == ref.is_admissible(lat, a, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices)
+def test_birkhoff_distributivity_matches_triple_scan(lat):
+    assert lat.is_distributive() == ref.is_distributive(lat)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,7 +170,7 @@ def test_solvers_build_no_whole_lattice_table():
     greedy_height(obj, lat, 3)
     greedy_knapsack(obj, lat, ModularCost.uniform(lat), 3.0)
     double_greedy(obj, lat)
-    assert not {"steps", "_leq", "_join_table"} & set(lat.__dict__)
+    assert not WHOLE_LATTICE_TABLES & set(lat.__dict__)
 
 
 dictionaries = st.one_of(
@@ -180,7 +201,7 @@ def test_flat_enumeration_matches_reference(dic):
 @given(dictionaries)
 def test_flat_join_irreducibles_match_definition(dic):
     lat = enumerate_lattice(dic)
-    assert lat.join_irreducibles() == FiniteLattice._join_irreducibles.func(lat)
+    assert lat.join_irreducibles() == ref.join_irreducibles(lat.leq_matrix(), lat.join_table())
 
 
 def counted_enumeration(dic):
@@ -203,7 +224,7 @@ def distinct_joins(lat, n_atoms):
     for mask in range(1, 1 << n_atoms):
         low = mask & -mask
         prev = int(lat._elem_of_mask[mask ^ low])
-        if not lat._flats[prev] & low:
+        if not lat.leq(int(lat._elem_of_mask[low]), prev):
             pairs.add((prev, low))
     return len(pairs)
 

@@ -32,6 +32,8 @@ class TestSetLattice:
         assert lat.meet(0b0011, 0b0101) == 0b0001
         assert lat.join(0b0011, lat.bottom) == 0b0011
         assert lat.meet(0b0011, lat.top) == 0b0011
+        ids = np.arange(1 << 10)
+        assert np.array_equal(SetLattice(10).meet_table(), ids[:, None] & ids)
 
     def test_height_is_cardinality(self):
         lat = SetLattice(5)
@@ -152,6 +154,12 @@ class TestExplicitLattice:
                 for j in range(lat.n):
                     assert lat.join(i, j) == order_scan_lub(lat, i, j)
                     assert lat.meet(i, j) == order_scan_glb(lat, i, j)
+
+    def test_order_is_not_shared_with_the_input(self):
+        leq = np.triu(np.ones((3, 3), dtype=bool))
+        lat = ExplicitLattice(leq)
+        leq[0, 1] = False
+        assert lat.leq(0, 1) and lat.join(0, 1) == 1
 
     def test_rejects_non_lattice_poset(self):
         # two maximal elements: pair {1,2} has no join

@@ -58,8 +58,10 @@ class TestConcaveRho:
         assert np.allclose(got, [[0.5], [2.1]], atol=1e-12)
         assert fam.dprime0() == 1.0
         assert SaturatingFamily(np.zeros(2), slope=0.1).dprime0() == 0.1
-        r1 = fam.row(1)
-        assert abs(r1.apply(np.array([3.0]))[0] - 2.1) < 1e-12
+        # each row is the capped form at its own threshold
+        t = np.array([0.5, 2.0, 3.0])
+        assert np.allclose(fam.apply_rows(np.tile(t, (2, 1)))[1],
+                           ConcaveRho.capped(2.0, 0.1).apply(t), atol=1e-12)
 
     def test_saturating_family_json_roundtrip(self):
         fam = SaturatingFamily(np.array([0.5, 1.0, 4.0]), slope=0.25)

@@ -11,7 +11,7 @@ from latmax.objectives import (
     QuantumCutObjective,
     WeightedDigraph,
 )
-from latmax.oracle import BruteForceResult, brute_force_max, ratio_holds
+from latmax.oracle import BruteForceResult, brute_force_max
 from latmax.solvers import (
     ExactEigen,
     Grid,
@@ -23,7 +23,7 @@ from latmax.solvers import (
 )
 from latmax.subspaces import VectorLattice
 
-from conftest import make_n5
+from conftest import make_n5, ratio_holds
 
 
 class TableObjective:
