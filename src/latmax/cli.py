@@ -75,34 +75,28 @@ _GAP_MEASURES = {
 }
 
 
-# the keys each JSON input must hold; an input with a "kind" is checked
-# for the keys of its kind
-_REQUIRED_KEYS = {
-    "lattice": {"dictionary": ("atoms",), "explicit": ("n", "cover_edges")},
-    "reshaping": {"identity": (), "capped": ("threshold",), "knots": ("t", "y"),
-                  "saturating_family": ("thresholds",)},
-    "table": ("values",),
-    "graph": ("vertices", "edges"),
-    "cost": ("increments",),
-    "dictionary": ("atoms",),
-}
-
-
-def _read_json(path, what: str) -> dict:
-    """Parse the JSON ``what`` input at ``path``, refusing it when a key it
-    needs is missing. A bare string stands for ``{"kind": string}``."""
+def _read_json(path, load):
+    """Parse the JSON input at ``path`` and build it with ``load``. A key that
+    ``load`` needs and the file lacks is reported with the file, and with the
+    input's kind when it names one."""
     doc = json.loads(Path(path).read_text())
-    need = _REQUIRED_KEYS[what]
-    if isinstance(need, dict):
-        doc = {"kind": doc} if isinstance(doc, str) else doc
+    try:
+        return load(doc)
+    except KeyError as exc:
         kind = doc.get("kind") if isinstance(doc, dict) else None
-        if kind not in need:
-            raise ValueError(f"unknown {what} kind {kind!r}")
-        need, what = need[kind], f"{kind} {what}"
-    for key in need:
-        if not isinstance(doc, dict) or key not in doc:
-            raise ValueError(f"{what} {path} has no {key!r} key")
-    return doc
+        what = f"{kind} input" if isinstance(kind, str) else "input"
+        raise ValueError(f"{what} {path} has no {exc.args[0]!r} key") from None
+
+
+def _lattice_from_json(doc):
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind == "dictionary":
+        return enumerate_lattice(Dictionary.from_json_dict(doc))
+    if kind == "explicit":
+        edges = [tuple(e) for e in doc["cover_edges"]]
+        return ExplicitLattice.from_cover_edges(int(doc["n"]), edges,
+                                                labels=doc.get("labels"))
+    raise ValueError(f"unknown lattice kind {kind!r}")
 
 
 def load_lattice(arg: str):
@@ -110,12 +104,7 @@ def load_lattice(arg: str):
         return SetLattice(int(arg.split(":", 1)[1]))
     if arg.startswith("vector:"):
         return VectorLattice(int(arg.split(":", 1)[1]))
-    doc = _read_json(arg, "lattice")
-    if doc["kind"] == "dictionary":
-        return enumerate_lattice(Dictionary.from_json_dict(doc))
-    edges = [tuple(e) for e in doc["cover_edges"]]
-    return ExplicitLattice.from_cover_edges(int(doc["n"]), edges,
-                                            labels=doc.get("labels"))
+    return _read_json(arg, _lattice_from_json)
 
 
 def _load_rho(arg, data):
@@ -131,7 +120,7 @@ def _load_rho(arg, data):
         fraction = float(parts[1]) if len(parts) > 1 else 0.01
         slope = float(parts[2]) if len(parts) > 2 else 0.1
         return fractional_energy_family(data, fraction, slope)
-    return rho_from_json_dict(_read_json(arg, "reshaping"))
+    return _read_json(arg, rho_from_json_dict)
 
 
 def load_objective(args, lat):
@@ -143,7 +132,7 @@ def load_objective(args, lat):
             raise ValueError("--objective table requires --table")
         if not isinstance(lat, FiniteLattice):
             raise ValueError("--objective table needs a finite lattice")
-        obj = TableObjective(_read_json(args.table, "table")["values"])
+        obj = _read_json(args.table, lambda doc: TableObjective(doc["values"]))
         if obj.values.size != lat.n:
             raise ValueError(f"--table holds {obj.values.size} values, lattice has {lat.n} elements")
         return obj
@@ -162,8 +151,7 @@ def load_objective(args, lat):
         if isinstance(lat, ExplicitLattice):
             raise ValueError(f"--objective {name} needs vertex sets or subspaces as elements; "
                              f"an explicit lattice has neither")
-        graph = WeightedDigraph.from_json_dict(_read_json(args.graph, "graph"))
-        obj = QuantumCutObjective(graph)
+        obj = QuantumCutObjective(_read_json(args.graph, WeightedDigraph.from_json_dict))
         if isinstance(lat, SetLattice) and obj.graph.n_vertices != lat.n_items:
             raise ValueError(f"--graph has {obj.graph.n_vertices} vertices, "
                              f"lattice has {lat.n_items} items")
@@ -184,9 +172,8 @@ def _load_cost(arg, lat):
         parts = arg.split(":")
         step = float(parts[1]) if len(parts) > 1 else 1.0
         return ModularCost.uniform(lat, step=step)
-    doc = _read_json(arg, "cost")
-    incs = {int(k): float(v) for k, v in doc["increments"].items()}
-    return ModularCost(lat, incs, base=float(doc.get("base", 0.0)))
+    return _read_json(arg, lambda doc: ModularCost(lat, doc["increments"],
+                                                   base=doc.get("base", 0.0)))
 
 
 def _emit(doc: dict, args, summary: str) -> None:
@@ -266,7 +253,7 @@ def cmd_diagnose(args) -> int:
         if not check.holds:
             failures.append("saturation bound violated")
     if args.check_coherence:
-        dic = Dictionary.from_json_dict(_read_json(args.check_coherence, "dictionary"))
+        dic = _read_json(args.check_coherence, Dictionary.from_json_dict)
         check = check_coherence_bound(dic)
         doc["checks"]["coherence"] = check.to_json_dict()
         if check.applicable and not check.holds:

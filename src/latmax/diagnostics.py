@@ -70,10 +70,13 @@ def _marginals(lat, vals):
     return lat.join_irreducibles(), np.where(adm, vals[steps] - vals, np.nan), adm
 
 
-def _check_scan_cap(lat: FiniteLattice, cap: int = 4096) -> None:
-    """Refuse a lattice above ``cap`` elements, before any table is built."""
-    if lat.n > cap:
-        raise SizeLimitError(f"{lat.n} elements exceed the gap-scan cap {cap}")
+_SCAN_CAP = 4096
+
+
+def _check_scan_cap(lat: FiniteLattice) -> None:
+    """Refuse a lattice above ``_SCAN_CAP`` elements, before any table is built."""
+    if lat.n > _SCAN_CAP:
+        raise SizeLimitError(f"{lat.n} elements exceed the gap-scan cap {_SCAN_CAP}")
 
 
 def _scan_inputs(obj, lat: FiniteLattice):

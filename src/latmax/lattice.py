@@ -255,6 +255,9 @@ class ExplicitLattice(FiniteLattice):
         closure = leq @ leq
         if (closure & ~leq).any():
             raise ValueError("order must be transitive")
+        if labels is not None and not (isinstance(labels, (list, tuple)) and len(labels) == n
+                                       and all(isinstance(s, str) for s in labels)):
+            raise ValueError(f"labels must be a list of {n} strings")
         self.n = n
         self._leq = leq
         self._labels = labels

@@ -270,6 +270,18 @@ class TestInputErrors:
         assert rc == 2
         self._one_error_line(capsys, f"[{edge[0]}, {edge[1]}]", "missing element")
 
+    @pytest.mark.parametrize("labels", [{"x": "a"}, ["a", "b"], ["a", "b", 2]])
+    def test_explicit_labels_not_one_string_per_element(self, labels, tmp_path, capsys):
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps({"kind": "explicit", "n": 3,
+                                    "cover_edges": [[0, 1], [1, 2]], "labels": labels}))
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"values": [0.0, 1.0, 2.0]}))
+        rc = main(["greedy", "--objective", "table", "--lattice", str(path),
+                   "--table", str(table), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, "labels", "3 strings")
+
     def test_non_finite_dictionary_atom(self, tmp_path, capsys):
         path = tmp_path / "lattice.json"
         path.write_text('{"kind": "dictionary", "atoms": [[1.0, 0.0], [0.0, NaN]]}')
