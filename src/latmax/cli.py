@@ -77,15 +77,29 @@ _GAP_MEASURES = {
 
 def _read_json(path, load):
     """Parse the JSON input at ``path`` and build it with ``load``. A key that
-    ``load`` needs and the file lacks is reported with the file, and with the
-    input's kind when it names one."""
+    ``load`` needs and the file lacks, or a value of the wrong type, is
+    reported with the file, and with the input's kind when it names one."""
     doc = json.loads(Path(path).read_text())
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    what = f"{kind} input" if isinstance(kind, str) else "input"
     try:
         return load(doc)
     except KeyError as exc:
-        kind = doc.get("kind") if isinstance(doc, dict) else None
-        what = f"{kind} input" if isinstance(kind, str) else "input"
         raise ValueError(f"{what} {path} has no {exc.args[0]!r} key") from None
+    except TypeError as exc:
+        raise TypeError(f"{what} {path}: {exc}") from None
+
+
+def _numbers(doc, key, container):
+    """``doc[key]``, checked to be a JSON list (``container`` is ``list``) or
+    object (``dict``) whose values are all numbers."""
+    value = doc[key]
+    items = value.values() if isinstance(value, dict) else value
+    if not (isinstance(value, container)
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)):
+        shape = "a list" if container is list else "an object"
+        raise TypeError(f"{key!r} must be {shape} of numbers")
+    return value
 
 
 def _lattice_from_json(doc):
@@ -132,7 +146,7 @@ def load_objective(args, lat):
             raise ValueError("--objective table requires --table")
         if not isinstance(lat, FiniteLattice):
             raise ValueError("--objective table needs a finite lattice")
-        obj = _read_json(args.table, lambda doc: TableObjective(doc["values"]))
+        obj = _read_json(args.table, lambda doc: TableObjective(_numbers(doc, "values", list)))
         if obj.values.size != lat.n:
             raise ValueError(f"--table holds {obj.values.size} values, lattice has {lat.n} elements")
         return obj
@@ -172,7 +186,7 @@ def _load_cost(arg, lat):
         parts = arg.split(":")
         step = float(parts[1]) if len(parts) > 1 else 1.0
         return ModularCost.uniform(lat, step=step)
-    return _read_json(arg, lambda doc: ModularCost(lat, doc["increments"],
+    return _read_json(arg, lambda doc: ModularCost(lat, _numbers(doc, "increments", dict),
                                                    base=doc.get("base", 0.0)))
 
 

@@ -27,8 +27,9 @@ class FiniteLattice:
     ``_join_table`` and ``_meet_table`` of element ids, and ``heights``.
 
     The scalar queries and the generic operations (admissibility, closure,
-    incrementality, Hasse edges, modularity and distributivity) read those
-    arrays, the join-irreducibles and the step table derived from them.
+    descents, incrementality, Hasse edges, modularity and distributivity)
+    read those arrays, the join-irreducibles and the step table derived
+    from them.
     """
 
     n: int
@@ -120,6 +121,18 @@ class FiniteLattice:
             raise ValueError(f"element {a} is not admissible to {x}")
         irr = self._join_irreducibles
         return tuple(irr[i] for i in np.flatnonzero(self.steps[:, x] == target))
+
+    def descents(self, a: int, b: int) -> list[int]:
+        """The one-step descents of b inside [a, b], in increasing id order:
+        the elements of [a, b] at height h(b) - 1, or, where the interval is
+        ungraded and holds none, the highest elements of [a, b)."""
+        between = self._leq[a] & self._leq[:, b]
+        between[b] = False
+        h = self.heights
+        downs = between & (h == h[b] - 1)
+        if not downs.any() and between.any():
+            downs = between & (h == h[between].max())
+        return [int(e) for e in np.flatnonzero(downs)]
 
     def incrementality(self) -> int:
         """Largest height jump a single admissible step can cause."""
@@ -224,6 +237,13 @@ class SetLattice(FiniteLattice):
 
     def admissibles(self, x):
         return tuple(1 << k for k in range(self.n_items) if not x >> k & 1)
+
+    def descents(self, a, b):
+        # b less one item of b - a; the highest item first gives the
+        # smallest id, so the ids come out increasing
+        if a & ~b:
+            return []
+        return [b ^ (1 << k) for k in reversed(range(self.n_items)) if (b & ~a) >> k & 1]
 
     def incrementality(self):
         return 1

@@ -497,17 +497,8 @@ def _double_greedy_finite(obj, lat: FiniteLattice) -> SolveReport:
                 up_best, up_v = u, v
 
         hb = lat.height(b)
-        downs = [e for e in range(lat.n)
-                 if lat.height(e) == hb - 1 and e != b
-                 and lat.leq(a, e) and lat.leq(e, b)]
-        if not downs:
-            # no graded step below b: fall back to the highest elements of [a, b)
-            between = [e for e in range(lat.n)
-                       if e != b and lat.leq(a, e) and lat.leq(e, b)]
-            hmax = max(lat.height(e) for e in between)
-            downs = [e for e in between if lat.height(e) == hmax]
         down_best, down_v = None, None
-        for e in downs:
+        for e in lat.descents(a, b):
             v = obj.value(lat, e)
             if down_v is None or v > down_v:
                 down_best, down_v = e, v

@@ -13,6 +13,8 @@ enumerator as it was written before elements were keyed by their flats:
 spans deduplicated by projector, order by a containment scan over the
 projector stack, meet by a search for the highest common lower bound;
 and the coherence report with one join and one meet query per pair.
+Finite double greedy as it was written before `FiniteLattice.descents`,
+finding each iteration's descents by scanning every element.
 The differential tests run them as oracles against the table-driven
 code, which must agree bit for bit, witnesses included.
 """
@@ -26,6 +28,7 @@ import numpy as np
 from latmax.diagnostics import GapReport
 from latmax.dictionary import CoherenceReport, EnumeratedLattice, _alignment
 from latmax.lattice import SetLattice
+from latmax.solvers import SolveReport
 from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, subspace_leq, vjoin
 
 
@@ -356,3 +359,72 @@ def lattice_coherence_report(lat) -> CoherenceReport:
     report.no_complement = tuple(offenders)
     report.value = float("inf") if offenders else max(report.per_element.values())
     return report
+
+
+def double_greedy_finite(obj, lat) -> SolveReport:
+    a, b = lat.bottom, lat.top
+    fa, fb = obj.value(lat, a), obj.value(lat, b)
+    report = SolveReport("double-greedy", fa,
+                         meta={"strategy": "exhaustive", "n_elements": lat.n,
+                               "lattice_height": lat.height(lat.top)})
+    it = 0
+    while a != b:
+        up_best, up_v = None, None
+        for u in lat.admissibles(a):
+            if not lat.leq(u, b):
+                continue
+            v = obj.value(lat, lat.join(u, a))
+            if up_v is None or v > up_v:
+                up_best, up_v = u, v
+
+        hb = lat.height(b)
+        downs = [e for e in range(lat.n)
+                 if lat.height(e) == hb - 1 and e != b
+                 and lat.leq(a, e) and lat.leq(e, b)]
+        if not downs:
+            # no graded step below b: fall back to the highest elements of [a, b)
+            between = [e for e in range(lat.n)
+                       if e != b and lat.leq(a, e) and lat.leq(e, b)]
+            hmax = max(lat.height(e) for e in between)
+            downs = [e for e in between if lat.height(e) == hmax]
+        down_best, down_v = None, None
+        for e in downs:
+            v = obj.value(lat, e)
+            if down_v is None or v > down_v:
+                down_best, down_v = e, v
+
+        alpha = up_v - fa if up_best is not None else None
+        beta = down_v - fb
+        record = {"iteration": it, "alpha": alpha, "beta": beta,
+                  "a": int(a), "b": int(b),
+                  "a_height": lat.height(a), "b_height": hb,
+                  "a_leq_b": bool(lat.leq(a, b))}
+        if up_best is not None and alpha >= beta:
+            a, fa = lat.join(up_best, a), up_v
+            record["choice"] = "ascend"
+            record["element"] = int(up_best)
+        else:
+            b, fb = down_best, down_v
+            record["choice"] = "descend"
+            record["element"] = int(down_best)
+        report.iterations.append(record)
+        it += 1
+    report.value, report.element = float(fa), int(a)
+    report.meta["iterations_used"] = it
+    return report
+
+
+def descents(lat, a, b):
+    """The descent candidates of `double_greedy_finite`, by its two scans
+    over every element."""
+    hb = lat.height(b)
+    downs = [e for e in range(lat.n)
+             if lat.height(e) == hb - 1 and e != b
+             and lat.leq(a, e) and lat.leq(e, b)]
+    if not downs:
+        # no graded step below b: fall back to the highest elements of [a, b)
+        between = [e for e in range(lat.n)
+                   if e != b and lat.leq(a, e) and lat.leq(e, b)]
+        hmax = max(lat.height(e) for e in between)
+        downs = [e for e in between if lat.height(e) == hmax]
+    return downs

@@ -1,7 +1,7 @@
 """Smoke test of the benchmark harness in `perfbench/`: its tracer still
 finds every name it patches in latmax, and default-seed sessions of the
-two certify workloads and of the subspace search pass its output checks
-and stored fingerprints."""
+two certify workloads, of the subspace search and of the subset-lattice
+solvers pass its output checks and stored fingerprints."""
 
 import contextlib
 import io
@@ -32,7 +32,8 @@ def test_tracer_installs_and_uninstalls():
     assert dictionary.enumerate_lattice is original
 
 
-@pytest.mark.parametrize("workload", ["span-certify", "set-certify", "subspace-search"])
+@pytest.mark.parametrize("workload", ["span-certify", "set-certify", "subspace-search",
+                                      "set-solve"])
 def test_default_seed_sessions_pass_checks(workload, tmp_path):
     checker = checks.Checker(workload, checks.DEFAULT_SEED)
     for i in (0, 1):

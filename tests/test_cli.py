@@ -320,10 +320,30 @@ class TestInputErrors:
     ])
     def test_json_input_missing_a_key(self, flag, doc, key, tmp_path, table_json,
                                       data_csv, capsys):
+        argv = self._json_input_argv(flag, doc, tmp_path, table_json, data_csv)
+        assert main(argv) == 2
+        self._one_error_line(capsys, argv[argv.index(flag) + 1], f"no {key!r} key")
+
+    @pytest.mark.parametrize("flag, doc, key", [
+        ("--table", {"values": {"a": 1}}, "values"),
+        ("--table", {"values": [0.0, "1", 2.0, 3.0]}, "values"),
+        ("--table", {"values": [[0.0, 1.0], [2.0, 3.0]]}, "values"),
+        ("--cost", {"increments": [1, 2]}, "increments"),
+        ("--cost", {"increments": {"1": [1.0], "2": 1.0}}, "increments"),
+    ])
+    def test_json_input_value_of_the_wrong_type(self, flag, doc, key, tmp_path, table_json,
+                                                data_csv, capsys):
+        argv = self._json_input_argv(flag, doc, tmp_path, table_json, data_csv)
+        assert main(argv) == 2
+        self._one_error_line(capsys, argv[argv.index(flag) + 1], repr(key))
+
+    @staticmethod
+    def _json_input_argv(flag, doc, tmp_path, table_json, data_csv):
+        """A run on set:2 (vector:3 for --rho) that reads ``doc`` through ``flag``."""
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
         table = ["--objective", "table", "--lattice", "set:2", "--table", str(table_json)]
-        argv = {
+        return {
             "--table": ["greedy", *table[:4], "--table", str(path), "--k", "1"],
             "--graph": ["greedy", "--objective", "cut", "--lattice", "set:2",
                         "--graph", str(path), "--k", "1"],
@@ -332,8 +352,6 @@ class TestInputErrors:
             "--rho": ["greedy", "--objective", "gpca", "--lattice", "vector:3",
                       "--data", str(data_csv), "--rho", str(path), "--k", "1"],
         }[flag]
-        assert main(argv) == 2
-        self._one_error_line(capsys, str(path), f"no {key!r} key")
 
     @pytest.mark.parametrize("command", ["knapsack", "oracle"])
     @pytest.mark.parametrize("budget", ["nan", "inf"])

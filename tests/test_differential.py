@@ -5,6 +5,9 @@ byte-identical gap reports, witnesses included. Every lattice's order,
 join, meet and height tables and join-irreducibles against the same built
 by definition from its elements, Birkhoff's distributivity test against
 the triple scan, and the work counts of enumeration and `diagnose`.
+Finite double greedy and its descents against the scan over every
+element: byte-identical reports, the same candidates, and the objective
+and height calls of one run on a 2^16-element subset lattice.
 Greedy's bound-pruned direction search against the full sweep:
 byte-identical reports."""
 
@@ -13,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -25,7 +28,7 @@ from latmax.diagnostics import (
     measure_upward_gap,
 )
 from latmax.dictionary import Dictionary, enumerate_lattice, lattice_coherence_report
-from latmax.lattice import ExplicitLattice, SetLattice
+from latmax.lattice import ExplicitLattice, FiniteLattice, SetLattice
 from latmax import solvers
 from latmax.objectives import (
     ConcaveRho,
@@ -62,6 +65,14 @@ def closure_system(masks, ground):
     return ExplicitLattice((ms[:, None] & ms[None, :]) == ms[:, None])
 
 
+def long_pentagon():
+    """0 < 1 < 2 < 3 < 6 and 0 < 4 < 5 < 6: [4, 6) holds elements of two
+    heights and none at h(6) - 1, so a descent from 6 above 4 falls back
+    to the highest of them."""
+    return ExplicitLattice.from_cover_edges(
+        7, [(0, 1), (1, 2), (2, 3), (3, 6), (0, 4), (4, 5), (5, 6)])
+
+
 def tilted_plane_dictionary(seed, planes=2):
     """`planes` coordinate planes of R^(2*planes), each holding its two
     axes and the first axis tilted towards the second, under a random
@@ -89,7 +100,7 @@ def near_orthonormal_frame(seed):
 
 lattices = st.one_of(
     st.integers(1, 6).map(SetLattice),
-    st.sampled_from([make_m3, make_n5]).map(lambda make: make()),
+    st.sampled_from([make_m3, make_n5, long_pentagon]).map(lambda make: make()),
     st.integers(1, 6).map(make_chain),
     st.integers(2, 4).flatmap(lambda g: st.lists(
         st.integers(0, (1 << g) - 1), max_size=8).map(
@@ -162,6 +173,68 @@ def test_gap_reports_match_reference(lat, kind, seed):
         assert got.pop("triples_scanned") >= got["excluded_triples"]
         want.pop("triples_scanned")
         assert json.dumps(got) == json.dumps(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices, st.sampled_from(["random", "ties", "cut"]), st.integers(0, 2 ** 32 - 1))
+def test_double_greedy_matches_reference(lat, kind, seed):
+    obj = objective(lat, kind, seed)
+    got = double_greedy(obj, lat).to_json_dict()
+    assert json.dumps(got) == json.dumps(ref.double_greedy_finite(obj, lat).to_json_dict())
+
+
+def test_double_greedy_matches_reference_through_the_ungraded_fallback():
+    # N5 is 0 < 1 < 3 < 4 and 0 < 2 < 4: the ascent to 2 leaves [2, 4] with
+    # nothing at height h(4) - 1 = 2, so the descent takes the fallback
+    lat = make_n5()
+    obj = TableObjective([0.0, 0.0, 10.0, 0.0, 1.0])
+    assert lat.descents(2, 4) == ref.descents(lat, 2, 4) == [2]
+    got = double_greedy(obj, lat).to_json_dict()
+    assert json.dumps(got) == json.dumps(ref.double_greedy_finite(obj, lat).to_json_dict())
+    last = got["iterations"][-1]
+    assert (last["a"], last["b"], last["choice"], last["element"]) == (2, 4, "descend", 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices)
+@example(long_pentagon())
+def test_descents_match_reference_scan(lat):
+    leq = lat.leq_matrix()
+    for a in range(lat.n):
+        for b in range(lat.n):
+            # the generic array path, also on lattices that override it
+            both = (lat.descents(a, b), FiniteLattice.descents(lat, a, b))
+            if a != b and leq[a, b]:
+                assert both == (ref.descents(lat, a, b),) * 2
+            else:
+                assert both == ([], [])
+
+
+def test_double_greedy_work_on_a_large_set_lattice():
+    """Each iteration values the ascent candidates and the descents once,
+    and asks a bit count, not a scan over all 2^16 elements, for heights."""
+    lat = SetLattice(16)
+    obj = TableObjective(np.random.default_rng(0).random(lat.n))
+    calls = {"value": 0, "height": 0}
+    value, height = obj.value, SetLattice.height
+
+    def counted_value(lat, e):
+        calls["value"] += 1
+        return value(lat, e)
+
+    def counted_height(self, i):
+        calls["height"] += 1
+        return height(self, i)
+
+    with mock.patch.object(obj, "value", counted_value), \
+            mock.patch.object(SetLattice, "height", counted_height):
+        rep = double_greedy(obj, lat)
+    per_iteration = [
+        sum(lat.leq(u, it["b"]) for u in lat.admissibles(it["a"]))
+        + len(lat.descents(it["a"], it["b"]))
+        for it in rep.iterations]
+    assert calls["value"] == 2 + sum(per_iteration)
+    assert calls["height"] < 1000
 
 
 def test_solvers_build_no_whole_lattice_table():
