@@ -14,7 +14,8 @@ Input conventions, shared by every subcommand that takes them:
 * ``--rho`` (gpca only): ``identity``, ``capped:THRESHOLD[:SLOPE]``,
   ``fractional[:FRACTION[:SLOPE]]`` (per-datum thresholds), or a JSON file.
 * ``--strategy``: ``exhaustive``, ``exact-eigen``, ``grid[:WIDTH[:ROUNDS]]``,
-  or ``random[:SAMPLES[:SEED]]``.
+  or ``random[:SAMPLES[:SEED]]``; SEED is accepted and ignored, as ``--seed``
+  seeds the draw.
 * ``--cost`` (knapsack/oracle): ``uniform[:STEP]`` or a JSON file
   ``{"base": 0.0, "increments": {"<element-id>": weight, ...}}`` keyed by
   join-irreducible element ids.
@@ -77,8 +78,9 @@ _GAP_MEASURES = {
 
 def _read_json(path, load):
     """Parse the JSON input at ``path`` and build it with ``load``. A key that
-    ``load`` needs and the file lacks, or a value of the wrong type, is
-    reported with the file, and with the input's kind when it names one."""
+    ``load`` needs and the file lacks, a value of the wrong type, or one that
+    ``load`` refuses, is reported with the file, and with the input's kind
+    when it names one."""
     doc = json.loads(Path(path).read_text())
     kind = doc.get("kind") if isinstance(doc, dict) else None
     what = f"{kind} input" if isinstance(kind, str) else "input"
@@ -86,8 +88,18 @@ def _read_json(path, load):
         return load(doc)
     except KeyError as exc:
         raise ValueError(f"{what} {path} has no {exc.args[0]!r} key") from None
-    except TypeError as exc:
-        raise TypeError(f"{what} {path}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
+
+
+def _converted(doc, key, convert, *default):
+    """``convert(doc[key])``, or of ``default`` when one is given and the key
+    is missing; a value that ``convert`` refuses is reported with its key."""
+    value = doc.get(key, *default) if default else doc[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise TypeError(f"{key!r}: {exc}") from None
 
 
 def _numbers(doc, key, container):
@@ -108,7 +120,7 @@ def _lattice_from_json(doc):
         return enumerate_lattice(Dictionary.from_json_dict(doc))
     if kind == "explicit":
         edges = [tuple(e) for e in doc["cover_edges"]]
-        return ExplicitLattice.from_cover_edges(int(doc["n"]), edges,
+        return ExplicitLattice.from_cover_edges(_converted(doc, "n", int), edges,
                                                 labels=doc.get("labels"))
     raise ValueError(f"unknown lattice kind {kind!r}")
 
@@ -126,14 +138,14 @@ def _load_rho(arg, data):
         return fractional_energy_family(data)
     if arg == "identity":
         return ConcaveRho.identity()
-    parts = arg.split(":")
-    if parts[0] == "capped":
-        slope = float(parts[2]) if len(parts) > 2 else 0.1
-        return ConcaveRho.capped(float(parts[1]), slope)
-    if parts[0] == "fractional":
-        fraction = float(parts[1]) if len(parts) > 1 else 0.01
-        slope = float(parts[2]) if len(parts) > 2 else 0.1
-        return fractional_energy_family(data, fraction, slope)
+    kind, *fields = arg.split(":")
+    if kind == "capped" and 1 <= len(fields) <= 2:
+        return ConcaveRho.capped(*map(float, fields))
+    if kind == "fractional" and len(fields) <= 2:
+        return fractional_energy_family(data, *map(float, fields))
+    if kind in ("capped", "fractional"):
+        raise ValueError(f"--rho {arg!r}: expected capped:THRESHOLD[:SLOPE] "
+                         f"or fractional[:FRACTION[:SLOPE]]")
     return _read_json(arg, rho_from_json_dict)
 
 
@@ -187,7 +199,7 @@ def _load_cost(arg, lat):
         step = float(parts[1]) if len(parts) > 1 else 1.0
         return ModularCost.uniform(lat, step=step)
     return _read_json(arg, lambda doc: ModularCost(lat, _numbers(doc, "increments", dict),
-                                                   base=doc.get("base", 0.0)))
+                                                   base=_converted(doc, "base", float, 0.0)))
 
 
 def _emit(doc: dict, args, summary: str) -> None:

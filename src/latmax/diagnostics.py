@@ -71,6 +71,8 @@ def _marginals(lat, vals):
 
 
 _SCAN_CAP = 4096
+_BOUND_TOL = 1e-9  # slack of the coherence and saturation bound checks
+_PROP1_TOL = 1e-12  # largest spread of three gaps that still agree
 
 
 def _check_scan_cap(lat: FiniteLattice) -> None:
@@ -225,8 +227,7 @@ def reevaluate_witness(obj, lat: FiniteLattice, report: GapReport) -> float:
     raise ValueError(f"unknown direction {report.direction!r}")
 
 
-def check_prop1_equivalence(lat: FiniteLattice, trials: int, *, seed=0,
-                            tol=1e-12) -> bool:
+def check_prop1_equivalence(lat: FiniteLattice, trials: int, *, seed=0) -> bool:
     """On a distributive lattice the three gap measurements must agree,
     and every closure must be a singleton."""
     _check_scan_cap(lat)
@@ -241,7 +242,7 @@ def check_prop1_equivalence(lat: FiniteLattice, trials: int, *, seed=0,
         gaps = [measure_strong_gap(obj, lat).measured_delta,
                 measure_downward_gap(obj, lat).measured_delta,
                 measure_upward_gap(obj, lat).measured_delta]
-        if max(gaps) - min(gaps) > tol:
+        if max(gaps) - min(gaps) > _PROP1_TOL:
             return False
     return True
 
@@ -289,7 +290,7 @@ class CoherenceBoundCheck:
                 "mu_lattice": self.mu_lattice, "holds": self.holds}
 
 
-def check_coherence_bound(dictionary: Dictionary, *, tol=1e-9) -> CoherenceBoundCheck:
+def check_coherence_bound(dictionary: Dictionary) -> CoherenceBoundCheck:
     """mu of the generated lattice against d*eps/(1 - d*eps); only
     meaningful when d*eps < 1."""
     eps = coherence_vectors(dictionary)
@@ -299,7 +300,7 @@ def check_coherence_bound(dictionary: Dictionary, *, tol=1e-9) -> CoherenceBound
         return check
     check.bound = d * eps / (1.0 - d * eps)
     check.mu_lattice = _dictionary.lattice_coherence_report(enumerate_lattice(dictionary)).value
-    check.holds = bool(check.mu_lattice <= check.bound + tol)
+    check.holds = bool(check.mu_lattice <= check.bound + _BOUND_TOL)
     return check
 
 
@@ -323,7 +324,7 @@ class SaturationGapCheck:
                 "measured_delta": self.measured_delta, "holds": self.holds}
 
 
-def check_saturation_gap_bound(obj, lat: EnumeratedLattice, *, tol=1e-9,
+def check_saturation_gap_bound(obj, lat: EnumeratedLattice, *,
                                downward: GapReport | None = None) -> SaturationGapCheck:
     """The reshaped-energy objective on a modular span lattice must be
     downward DR-submodular with gap at most
@@ -337,4 +338,4 @@ def check_saturation_gap_bound(obj, lat: EnumeratedLattice, *, tol=1e-9,
     bound = 3.0 * mu * slope0 * total / (1.0 - mu ** 2)
     rep = downward if downward is not None else measure_downward_gap(obj, lat)
     return SaturationGapCheck(mu, slope0, total, bound, rep.measured_delta,
-                              bool(rep.measured_delta <= bound + tol), rep)
+                              bool(rep.measured_delta <= bound + _BOUND_TOL), rep)

@@ -25,6 +25,8 @@ from latmax.subspaces import (
     vjoin,
 )
 
+_ENUMERATION_CAP = 12  # atoms, so at most 2^12 atom subsets
+
 
 @dataclass(frozen=True)
 class Dictionary:
@@ -71,10 +73,10 @@ class EnumeratedLattice(FiniteLattice):
     """Span lattice of a dictionary: each element is keyed by its flat,
     the bitmask of the atoms its span contains."""
 
-    def __init__(self, dictionary: Dictionary, cap: int = 12):
+    def __init__(self, dictionary: Dictionary):
         m = dictionary.n_atoms
-        if m > cap:
-            raise SizeLimitError(f"{m} atoms exceed the enumeration cap {cap}")
+        if m > _ENUMERATION_CAP:
+            raise SizeLimitError(f"{m} atoms exceed the enumeration cap {_ENUMERATION_CAP}")
         self.dictionary = dictionary
         atoms = [dictionary.direction(i) for i in range(m)]
         units = np.array([a.vector for a in atoms]).T  # (d, m)
@@ -135,19 +137,9 @@ class EnumeratedLattice(FiniteLattice):
         bits = [str(k) for k in range(self.dictionary.n_atoms) if self.gen_masks[i] >> k & 1]
         return "span{" + ",".join(bits) + "}"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "dictionary",
-            "atoms": self.dictionary.vectors.tolist(),
-            "tolerance": RANK_TOL,
-            "elements": [s.to_json_dict() for s in self.subspaces],
-            "hasse_edges": self.hasse_edges(),
-            "is_modular": self.is_modular(),
-        }
 
-
-def enumerate_lattice(dictionary: Dictionary, cap: int = 12) -> EnumeratedLattice:
-    return EnumeratedLattice(dictionary, cap=cap)
+def enumerate_lattice(dictionary: Dictionary) -> EnumeratedLattice:
+    return EnumeratedLattice(dictionary)
 
 
 def coherence_vectors(dictionary: Dictionary) -> float:

@@ -27,7 +27,7 @@ class FiniteLattice:
     ``_join_table`` and ``_meet_table`` of element ids, and ``heights``.
 
     The scalar queries and the generic operations (admissibility, closure,
-    descents, incrementality, Hasse edges, modularity and distributivity)
+    descents, incrementality, modularity and distributivity)
     read those arrays, the join-irreducibles and the step table derived
     from them.
     """
@@ -140,12 +140,6 @@ class FiniteLattice:
         jumps = (h[s] - h)[s >= 0]
         return max(1, int(jumps.max())) if jumps.size else 1
 
-    def hasse_edges(self) -> list[tuple[int, int]]:
-        strict = self._leq & ~np.eye(self.n, dtype=bool)
-        # (i,j) is a cover iff i < j with nothing strictly between
-        covers = strict & ~(strict @ strict)
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(covers))]
-
     def is_modular(self) -> bool:
         """Height is a modular valuation: h(x)+h(y) = h(x∨y)+h(x∧y) on all pairs."""
         h = self.heights
@@ -253,9 +247,6 @@ class SetLattice(FiniteLattice):
         ids = np.arange(self.n)
         bits = 1 << np.arange(self.n_items)[:, None]
         return np.where(ids & bits, -1, ids | bits)
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "set", "atoms": list(range(self.n_items)), "tolerance": 0.0}
 
 
 class ExplicitLattice(FiniteLattice):

@@ -2,8 +2,8 @@
 
 Objectives evaluate lattice elements through their payloads: subspace
 payloads go through per-datum projection energies, subset payloads (bit
-masks) through membership. Concave reshaping functions are validated
-numerically at construction time.
+masks) through membership. Concave reshaping functions are piecewise
+linear, and their knots are checked at construction time.
 """
 
 from __future__ import annotations
@@ -16,89 +16,56 @@ import numpy as np
 from latmax.lattice import FiniteLattice
 from latmax.subspaces import Subspace
 
-_CONCAVITY_SAMPLES = 100
-_CONCAVITY_SLACK = 1e-9
-
-
-def _check_concave(apply_fn, upper):
-    """Sample-based check: starts at zero, nondecreasing, concave."""
-    t = np.linspace(0.0, max(upper, 1e-6), _CONCAVITY_SAMPLES)
-    y = np.asarray(apply_fn(t), dtype=float)
-    if y.shape != t.shape:
-        raise ValueError("reshaping function must map samples elementwise")
-    if abs(y[0]) > _CONCAVITY_SLACK:
-        raise ValueError("reshaping function must vanish at zero")
-    d1 = np.diff(y)
-    if d1.min() < -_CONCAVITY_SLACK:
-        raise ValueError("reshaping function must be nondecreasing")
-    if np.diff(d1).max() > _CONCAVITY_SLACK:
-        raise ValueError("reshaping function must be concave")
-
 
 class ConcaveRho:
-    """Monotone concave reshaping of a scalar energy, vanishing at zero.
+    """Monotone concave reshaping of a scalar energy, vanishing at zero:
+    the piecewise-linear function through the knots (ts, ys), extended
+    past the last knot with the last slope. Starting at (0, 0),
+    nondecreasing and concave are checked exactly on the knot slopes."""
 
-    Piecewise-linear forms carry exact knots; arbitrary callables are
-    accepted after a sampled concavity check on [0, check_upper].
-    """
-
-    def __init__(self, fn, *, knots=None, check_upper=10.0):
-        self._fn = fn
-        self.knots = None
-        if knots is not None:
-            ts, ys = (np.asarray(a, dtype=float) for a in knots)
-            if ts[0] != 0.0 or abs(ys[0]) > 0:
-                raise ValueError("knots must start at (0, 0)")
-            if np.diff(ts).min() <= 0:
-                raise ValueError("knot positions must increase")
-            self.knots = (ts, ys)
-        _check_concave(self.apply, check_upper)
+    def __init__(self, ts, ys):
+        ts, ys = (np.asarray(a, dtype=float) for a in (ts, ys))
+        if not (ts.ndim == 1 and ts.shape == ys.shape and ts.size >= 2
+                and np.isfinite(ts).all() and np.isfinite(ys).all()):
+            raise ValueError("knots need two equally long lists of at least two finite numbers")
+        if ts[0] != 0.0 or ys[0] != 0.0:
+            raise ValueError("knots must start at (0, 0)")
+        if np.diff(ts).min() <= 0:
+            raise ValueError("knot positions must increase")
+        slopes = np.diff(ys) / np.diff(ts)
+        if slopes.min() < 0:
+            raise ValueError("reshaping function must be nondecreasing")
+        if (np.diff(slopes) > 0).any():
+            raise ValueError("reshaping function must be concave")
+        self.knots = (ts, ys)
+        self._slopes = slopes
 
     def apply(self, t):
         t = np.asarray(t, dtype=float)
-        if self.knots is not None:
-            ts, ys = self.knots
-            last_slope = (ys[-1] - ys[-2]) / (ts[-1] - ts[-2]) if len(ts) > 1 else 1.0
-            out = np.interp(t, ts, ys)
-            beyond = t > ts[-1]
-            if beyond.any():
-                out = np.where(beyond, ys[-1] + last_slope * (t - ts[-1]), out)
-            return out
-        return np.asarray(self._fn(t), dtype=float)
+        ts, ys = self.knots
+        out = np.interp(t, ts, ys)
+        beyond = t > ts[-1]
+        if beyond.any():
+            out = np.where(beyond, ys[-1] + self._slopes[-1] * (t - ts[-1]), out)
+        return out
 
     def dprime0(self) -> float:
-        """Right slope at zero: exact for knots, forward difference otherwise."""
-        if self.knots is not None:
-            ts, ys = self.knots
-            if len(ts) == 1:
-                return 1.0
-            return float((ys[1] - ys[0]) / (ts[1] - ts[0]))
-        h = 1e-8
-        return float((self.apply(np.array([h]))[0]) / h)
+        """Right slope at zero."""
+        return float(self._slopes[0])
 
     @classmethod
     def identity(cls):
-        return cls(None, knots=([0.0, 1.0], [0.0, 1.0]))
+        return cls([0.0, 1.0], [0.0, 1.0])
 
     @classmethod
     def capped(cls, threshold, slope=0.1):
         """Identity up to the threshold, then a gentler slope."""
         if threshold <= 0 or not 0 <= slope <= 1:
             raise ValueError("need threshold > 0 and slope in [0, 1]")
-        return cls(None, knots=([0.0, threshold, 2 * threshold],
-                                [0.0, threshold, threshold + slope * threshold]))
-
-    @classmethod
-    def from_knots(cls, ts, ys):
-        return cls(None, knots=(ts, ys))
-
-    @classmethod
-    def from_callable(cls, fn, check_upper=10.0):
-        return cls(fn, check_upper=check_upper)
+        return cls([0.0, threshold, 2 * threshold],
+                   [0.0, threshold, threshold + slope * threshold])
 
     def to_json_dict(self) -> dict:
-        if self.knots is None:
-            raise ValueError("only knot-based forms serialize")
         ts, ys = self.knots
         return {"kind": "knots", "t": ts.tolist(), "y": ys.tolist()}
 
@@ -112,7 +79,7 @@ def rho_from_json_dict(doc) -> "ConcaveRho | SaturatingFamily":
     if kind == "capped":
         return ConcaveRho.capped(doc["threshold"], doc.get("slope", 0.1))
     if kind == "knots":
-        return ConcaveRho.from_knots(doc["t"], doc["y"])
+        return ConcaveRho(doc["t"], doc["y"])
     if kind == "saturating_family":
         return SaturatingFamily(doc["thresholds"], float(doc.get("slope", 0.1)))
     raise ValueError(f"unknown reshaping kind {kind!r}")
@@ -255,8 +222,11 @@ class WeightedDigraph:
 
     @classmethod
     def from_json_dict(cls, doc) -> "WeightedDigraph":
-        return cls(np.asarray(doc["vertices"], dtype=float),
-                   tuple(tuple(e) for e in doc["edges"]))
+        try:
+            vertices = np.asarray(doc["vertices"], dtype=float)
+        except (TypeError, ValueError):
+            raise TypeError("'vertices' must be a list of equally long lists of numbers") from None
+        return cls(vertices, tuple(tuple(e) for e in doc["edges"]))
 
     @classmethod
     def complete_classical(cls, weights) -> "WeightedDigraph":
@@ -336,13 +306,6 @@ def _subspace_payload(lat, e) -> Subspace:
     if not isinstance(payload, Subspace):
         raise TypeError("objective needs subspace payloads")
     return payload
-
-
-def marginal(obj, lat: FiniteLattice, a, x, *, check=True) -> float:
-    """Gain of one admissible step from x along a."""
-    if check and not lat.is_admissible(a, x):
-        raise ValueError("step element is not admissible here")
-    return obj.value(lat, lat.join(a, x)) - obj.value(lat, x)
 
 
 class ModularCost:

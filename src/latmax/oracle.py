@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 from latmax.lattice import FiniteLattice, SizeLimitError
 
+_SCAN_CAP = 4096
+
 
 @dataclass(frozen=True)
 class BruteForceResult:
@@ -19,13 +21,13 @@ class BruteForceResult:
 
 
 def brute_force_max(obj, lat: FiniteLattice, *, height_cap=None, cost=None,
-                    budget=None, cap=4096) -> BruteForceResult:
+                    budget=None) -> BruteForceResult:
     """Scan every element; ties go to the lowest element id.
 
     Feasibility can be cut by a height cap, a cost budget, or both.
     """
-    if lat.n > cap:
-        raise SizeLimitError(f"{lat.n} elements exceed the scan cap {cap}")
+    if lat.n > _SCAN_CAP:
+        raise SizeLimitError(f"{lat.n} elements exceed the scan cap {_SCAN_CAP}")
     if (cost is None) != (budget is None):
         raise ValueError("cost and budget go together")
     best, best_v, feasible = None, None, 0

@@ -22,6 +22,7 @@ such a bound (the quantum cut) and double greedy keep the full sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,13 +55,22 @@ class Grid:
     width: float = 0.025
     refine_rounds: int = 0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"grid width must be finite and positive, got {self.width}")
+        if self.refine_rounds < 0:
+            raise ValueError(f"grid refine rounds must be nonnegative, got {self.refine_rounds}")
+
 
 @dataclass(frozen=True)
 class RandomRestart:
-    """Uniformly random unit directions."""
+    """Uniformly random unit directions, drawn from the solver's rng."""
 
     samples: int = 8192
-    seed: int = 0
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"random strategy needs at least one sample, got {self.samples}")
 
 
 # candidate columns scored per batch. Each batch holds a rows x columns
@@ -91,9 +101,9 @@ def strategy_from_name(name: str):
         rounds = int(parts[2]) if len(parts) > 2 else 0
         return Grid(width=width, refine_rounds=rounds)
     if parts[0] == "random":
+        # a third field is accepted and ignored: the solver's seed drives the draw
         samples = int(parts[1]) if len(parts) > 1 else 8192
-        seed = int(parts[2]) if len(parts) > 2 else 0
-        return RandomRestart(samples=samples, seed=seed)
+        return RandomRestart(samples=samples)
     raise ValueError(f"unknown strategy {name!r}")
 
 
@@ -134,8 +144,7 @@ def _best_direction(sweep, strategy, dim, rng):
     counts summed over every sweep made.
     """
     if isinstance(strategy, RandomRestart):
-        local = np.random.default_rng(strategy.seed) if rng is None else rng
-        return sweep(local.normal(size=(dim, strategy.samples)))
+        return sweep(rng.normal(size=(dim, strategy.samples)))
 
     if not isinstance(strategy, Grid):
         raise ValueError(f"strategy {strategy!r} cannot propose directions")
@@ -287,11 +296,6 @@ def _energy_bound(obj):
     if isinstance(rho, SaturatingFamily):
         s, total = rho.slope, float(rho.thresholds.sum())
         return lambda q: s * q + (1.0 - s) * np.minimum(q, total)
-    if rho.knots is None:
-        return None
-    ts, ys = rho.knots
-    if (np.diff(np.diff(ys) / np.diff(ts)) > 0).any():
-        return None  # knots beyond the sampled concavity check bend upward
     n = obj.feature_rows.shape[0]
     return lambda q: n * rho.apply(q / n)
 

@@ -149,15 +149,6 @@ def codim1_descend(b: Subspace, w: Direction) -> Subspace:
     return Subspace(b.basis @ u[:, 1:])
 
 
-def subspace_leq(x: Subspace, y: Subspace) -> bool:
-    if x.dim == 0:
-        return True
-    if x.dim > y.dim:
-        return False
-    resid = x.basis - y.basis @ (y.basis.T @ x.basis)
-    return float(np.linalg.norm(resid, axis=0).max()) <= ORTH_TOL
-
-
 class VectorLattice:
     """The full subspace lattice of R^d (modular, 1-incremental)."""
 

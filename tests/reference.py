@@ -14,7 +14,9 @@ spans deduplicated by projector, order by a containment scan over the
 projector stack, meet by a search for the highest common lower bound;
 and the coherence report with one join and one meet query per pair.
 Finite double greedy as it was written before `FiniteLattice.descents`,
-finding each iteration's descents by scanning every element.
+finding each iteration's descents by scanning every element. Subspace
+containment and the cover pairs of a finite lattice, which the library
+does not need.
 The differential tests run them as oracles against the table-driven
 code, which must agree bit for bit, witnesses included.
 """
@@ -29,7 +31,25 @@ from latmax.diagnostics import GapReport
 from latmax.dictionary import CoherenceReport, EnumeratedLattice, _alignment
 from latmax.lattice import SetLattice
 from latmax.solvers import SolveReport
-from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, subspace_leq, vjoin
+from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, vjoin
+
+
+def subspace_leq(x: Subspace, y: Subspace) -> bool:
+    """x is contained in y: every basis column of x lies in y up to ORTH_TOL."""
+    if x.dim == 0:
+        return True
+    if x.dim > y.dim:
+        return False
+    resid = x.basis - y.basis @ (y.basis.T @ x.basis)
+    return float(np.linalg.norm(resid, axis=0).max()) <= ORTH_TOL
+
+
+def covers(lat):
+    """The cover pairs (lo, hi) in increasing order: lo < hi with no element
+    strictly between them."""
+    strict = lat.leq_matrix() & ~np.eye(lat.n, dtype=bool)
+    return [(int(lo), int(hi)) for lo, hi in zip(*np.nonzero(strict))
+            if not (strict[lo] & strict[:, hi]).any()]
 
 
 def order(lat):

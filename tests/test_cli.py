@@ -330,6 +330,9 @@ class TestInputErrors:
         ("--table", {"values": [[0.0, 1.0], [2.0, 3.0]]}, "values"),
         ("--cost", {"increments": [1, 2]}, "increments"),
         ("--cost", {"increments": {"1": [1.0], "2": 1.0}}, "increments"),
+        ("--cost", {"base": "x", "increments": {"1": 1.0, "2": 1.0}}, "base"),
+        ("--graph", {"vertices": {"a": 1}, "edges": [[0, 1, 1.0]]}, "vertices"),
+        ("--lattice", {"kind": "explicit", "n": "x", "cover_edges": [[0, 1]]}, "n"),
     ])
     def test_json_input_value_of_the_wrong_type(self, flag, doc, key, tmp_path, table_json,
                                                 data_csv, capsys):
@@ -339,7 +342,8 @@ class TestInputErrors:
 
     @staticmethod
     def _json_input_argv(flag, doc, tmp_path, table_json, data_csv):
-        """A run on set:2 (vector:3 for --rho) that reads ``doc`` through ``flag``."""
+        """A run on set:2 (vector:3 for --rho) that reads ``doc`` through ``flag``;
+        ``--lattice`` reads the lattice itself from ``doc``."""
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
         table = ["--objective", "table", "--lattice", "set:2", "--table", str(table_json)]
@@ -351,7 +355,41 @@ class TestInputErrors:
             "--check-coherence": ["diagnose", *table, "--check-coherence", str(path)],
             "--rho": ["greedy", "--objective", "gpca", "--lattice", "vector:3",
                       "--data", str(data_csv), "--rho", str(path), "--k", "1"],
+            "--lattice": ["greedy", "--objective", "table", "--lattice", str(path),
+                          "--table", str(table_json), "--k", "1"],
         }[flag]
+
+    def test_knots_that_bend_upward_past_ten(self, tmp_path, table_json, data_csv, capsys):
+        doc = {"kind": "knots", "t": [0.0, 1.0, 20.0, 21.0], "y": [0.0, 1.0, 1.5, 10.0]}
+        argv = self._json_input_argv("--rho", doc, tmp_path, table_json, data_csv)
+        assert main(argv) == 2
+        self._one_error_line(capsys, argv[argv.index("--rho") + 1], "concave")
+
+    @pytest.mark.parametrize("rho", ["capped", "capped:1:0.1:5", "fractional:0.01:0.1:3"])
+    def test_rho_with_the_wrong_number_of_fields(self, rho, data_csv, capsys):
+        rc = main(["greedy", "--objective", "gpca", "--lattice", "vector:3",
+                   "--data", str(data_csv), "--rho", rho, "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, repr(rho), "capped:THRESHOLD[:SLOPE]")
+
+    @pytest.mark.parametrize("strategy, words", [
+        ("grid:0", "grid width"), ("grid:-0.5", "grid width"), ("grid:inf", "grid width"),
+        ("grid:0.2:-1", "refine rounds"), ("random:0", "at least one sample"),
+    ])
+    @pytest.mark.parametrize("command", ["greedy", "double-greedy"])
+    def test_bad_strategy_value(self, command, strategy, words, data_csv, capsys):
+        rc = main([command, "--objective", "pca", "--lattice", "vector:3",
+                   "--data", str(data_csv), "--strategy", strategy,
+                   *(["--k", "1"] if command == "greedy" else [])])
+        assert rc == 2
+        self._one_error_line(capsys, words)
+
+    @pytest.mark.parametrize("width", ["0", "-0.1"])
+    def test_bad_experiment_width(self, width, tmp_path, capsys):
+        rc = main(["experiment", "appendix", "--samples", "20", "--width", width,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        self._one_error_line(capsys, "grid width")
 
     @pytest.mark.parametrize("command", ["knapsack", "oracle"])
     @pytest.mark.parametrize("budget", ["nan", "inf"])

@@ -393,7 +393,7 @@ direction_strategies = st.integers(2, 5).flatmap(lambda d: st.tuples(
     st.just(d),
     st.one_of(
         st.builds(Grid, grid_widths(d), st.integers(0, 1)),
-        st.builds(RandomRestart, st.integers(1, 3000), st.integers(0, 2 ** 16)))))
+        st.builds(RandomRestart, st.integers(1, 3000)))))
 
 
 @settings(max_examples=80, deadline=None)

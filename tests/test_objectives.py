@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from latmax.objectives import (
     WeightedDigraph,
     check_order_consistency,
     fractional_energy_family,
-    marginal,
     rho_from_json_dict,
 )
 from latmax.subspaces import Subspace
@@ -33,17 +34,38 @@ class TestConcaveRho:
     def test_dprime0(self):
         assert ConcaveRho.identity().dprime0() == 1.0
         assert ConcaveRho.capped(0.5, slope=0.2).dprime0() == 1.0
-        assert abs(ConcaveRho.from_callable(np.sqrt).dprime0() - 1e4) < 1.0
+        assert ConcaveRho([0.0, 2.0, 3.0], [0.0, 1.0, 1.5]).dprime0() == 0.5
 
     def test_rejects_non_concave_and_non_monotone(self):
-        with pytest.raises(ValueError):
-            ConcaveRho.from_callable(lambda t: t ** 2)
-        with pytest.raises(ValueError):
-            ConcaveRho.from_callable(lambda t: -t)
-        with pytest.raises(ValueError):
-            ConcaveRho.from_callable(lambda t: t + 1.0)
-        with pytest.raises(ValueError):
-            ConcaveRho.from_knots([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
+        for ts, ys, words in [
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 3.0], "concave"),
+            # concave on [0, 10], convex past it
+            ([0.0, 1.0, 20.0, 21.0], [0.0, 1.0, 1.5, 10.0], "concave"),
+            ([0.0, 1.0], [0.0, -1.0], "nondecreasing"),
+            ([0.0, 1.0], [1.0, 2.0], "(0, 0)"),
+            ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0], "increase"),
+            ([0.0], [0.0], "at least two"),
+            ([0.0, 1.0, 2.0], [0.0, 1.0], "equally long"),
+            ([0.0, 1.0], [0.0, float("nan")], "finite"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(words)):
+                ConcaveRho(ts, ys)
+
+    @pytest.mark.parametrize("doc", [
+        "identity", {"kind": "identity"},
+        {"kind": "capped", "threshold": 0.5}, {"kind": "capped", "threshold": 1e-3, "slope": 0.0},
+        {"kind": "capped", "threshold": 7.0, "slope": 1.0},
+        {"kind": "knots", "t": [0.0, 1.0, 3.0], "y": [0.0, 1.0, 1.0]},
+        {"kind": "saturating_family", "thresholds": [0.0, 0.5, 2.0]},
+        {"kind": "saturating_family", "thresholds": [1.0], "slope": 1.0},
+    ])
+    def test_accepts_the_concave_families(self, doc):
+        rho = rho_from_json_dict(doc)
+        t = np.linspace(0.0, 30.0, 301)
+        rows = (rho.apply(t)[None] if isinstance(rho, ConcaveRho)
+                else rho.apply_rows(np.tile(t, (rho.thresholds.size, 1))))
+        assert (rows[:, 0] == 0.0).all()
+        assert (np.diff(rows) >= -1e-12).all() and (np.diff(rows, 2) <= 1e-12).all()
 
     def test_json_roundtrip(self):
         capped = ConcaveRho.capped(2.0, slope=0.3)
@@ -114,9 +136,9 @@ class TestPCA:
         assert vals == {0: 0.0, 2: 30.0}
         atom_lines = (int(lat._elem_of_mask[1 << i]) for i in range(2))
         e2 = next(e for e in atom_lines if abs(lat.payload(e).basis[1, 0]) > 0.9)
-        assert abs(marginal(obj, lat, e2, lat.bottom) - 20.0) < 1e-12
-        with pytest.raises(ValueError):
-            marginal(obj, lat, e2, lat.top)
+        assert lat.is_admissible(e2, lat.bottom) and not lat.is_admissible(e2, lat.top)
+        gain = obj.value(lat, lat.join(e2, lat.bottom)) - obj.value(lat, lat.bottom)
+        assert abs(gain - 20.0) < 1e-12
 
 
 class TestGeneralizedPCA:

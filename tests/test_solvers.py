@@ -343,3 +343,12 @@ class TestStrategyParsing:
         assert strategy_from_name("random:64") == RandomRestart(samples=64)
         with pytest.raises(ValueError):
             strategy_from_name("annealing")
+
+    def test_random_seed_field_is_ignored(self, rng):
+        # the solver's seed drives the draw; a third field changes nothing
+        assert strategy_from_name("random:64:1") == strategy_from_name("random:64:2")
+        obj = PCAObjective(rng.normal(size=(20, 4)))
+        reports = [greedy_height(obj, VectorLattice(4), 2, seed=5,
+                                 strategy=strategy_from_name(f"random:64:{s}")).to_json_dict()
+                   for s in (1, 2)]
+        assert reports[0] == reports[1]

@@ -10,12 +10,12 @@ from latmax.subspaces import (
     Subspace,
     VectorLattice,
     codim1_descend,
-    subspace_leq,
     vjoin,
     vmeet,
 )
 
 from conftest import random_orthonormal
+from reference import subspace_leq
 
 
 def svd_span_oracle(columns):
