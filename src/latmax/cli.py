@@ -27,6 +27,7 @@ Input conventions, shared by every subcommand that takes them:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -102,6 +103,13 @@ def _converted(doc, key, convert, *default):
         raise TypeError(f"{key!r}: {exc}") from None
 
 
+def _integer(value):
+    """``value`` if it is a JSON integer; ``int`` would truncate 2.5."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
 def _numbers(doc, key, container):
     """``doc[key]``, checked to be a JSON list (``container`` is ``list``) or
     object (``dict``) whose values are all numbers."""
@@ -120,7 +128,7 @@ def _lattice_from_json(doc):
         return enumerate_lattice(Dictionary.from_json_dict(doc))
     if kind == "explicit":
         edges = [tuple(e) for e in doc["cover_edges"]]
-        return ExplicitLattice.from_cover_edges(_converted(doc, "n", int), edges,
+        return ExplicitLattice.from_cover_edges(_converted(doc, "n", _integer), edges,
                                                 labels=doc.get("labels"))
     raise ValueError(f"unknown lattice kind {kind!r}")
 
@@ -323,7 +331,10 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", help="write the full JSON report here")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, and every build leaves cyclic garbage behind."""
     parser = argparse.ArgumentParser(
         prog="latmax",
         description="Monotone objective maximization over finite and "

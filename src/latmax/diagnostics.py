@@ -22,7 +22,7 @@ from latmax.dictionary import (
     coherence_vectors,
     enumerate_lattice,
 )
-from latmax.lattice import FiniteLattice, SizeLimitError
+from latmax.lattice import SCAN_CAP, FiniteLattice, SizeLimitError
 from latmax.objectives import TableObjective
 from latmax.subspaces import Direction, Subspace, vjoin
 
@@ -70,15 +70,14 @@ def _marginals(lat, vals):
     return lat.join_irreducibles(), np.where(adm, vals[steps] - vals, np.nan), adm
 
 
-_SCAN_CAP = 4096
 _BOUND_TOL = 1e-9  # slack of the coherence and saturation bound checks
 _PROP1_TOL = 1e-12  # largest spread of three gaps that still agree
 
 
 def _check_scan_cap(lat: FiniteLattice) -> None:
-    """Refuse a lattice above ``_SCAN_CAP`` elements, before any table is built."""
-    if lat.n > _SCAN_CAP:
-        raise SizeLimitError(f"{lat.n} elements exceed the gap-scan cap {_SCAN_CAP}")
+    """Refuse a lattice above ``SCAN_CAP`` elements, before any table is built."""
+    if lat.n > SCAN_CAP:
+        raise SizeLimitError(f"{lat.n} elements exceed the gap-scan cap {SCAN_CAP}")
 
 
 def _scan_inputs(obj, lat: FiniteLattice):

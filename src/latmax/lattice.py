@@ -21,6 +21,10 @@ class SizeLimitError(ValueError):
     """Raised when an exhaustive scan would exceed the configured cap."""
 
 
+# the most elements an exhaustive scan visits: the oracle's and the gap scans'
+SCAN_CAP = 4096
+
+
 class FiniteLattice:
     """A finite lattice on ids 0..n-1, held as four arrays that every
     subclass sets: the order ``_leq`` (``_leq[i, j]`` is i <= j), the

@@ -190,6 +190,12 @@ class GeneralizedPCAObjective(PCAObjective):
         return self.value_from_energies(energies)
 
 
+def _is_edge(e) -> bool:
+    """A JSON edge: [source, target, weight] with integer vertex ids."""
+    return (isinstance(e, list) and len(e) == 3 and all(type(i) is int for i in e[:2])
+            and isinstance(e[2], (int, float)) and not isinstance(e[2], bool))
+
+
 @dataclass(frozen=True)
 class WeightedDigraph:
     """Directed graph with vector-valued vertices and weighted edges."""
@@ -226,7 +232,11 @@ class WeightedDigraph:
             vertices = np.asarray(doc["vertices"], dtype=float)
         except (TypeError, ValueError):
             raise TypeError("'vertices' must be a list of equally long lists of numbers") from None
-        return cls(vertices, tuple(tuple(e) for e in doc["edges"]))
+        edges = doc["edges"]
+        if not (isinstance(edges, list) and all(_is_edge(e) for e in edges)):
+            raise TypeError("'edges' must be a list of [source, target, weight] "
+                            "with integer vertex ids and a number weight")
+        return cls(vertices, tuple(tuple(e) for e in edges))
 
     @classmethod
     def complete_classical(cls, weights) -> "WeightedDigraph":

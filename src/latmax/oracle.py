@@ -4,9 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from latmax.lattice import FiniteLattice, SizeLimitError
-
-_SCAN_CAP = 4096
+from latmax.lattice import SCAN_CAP, FiniteLattice, SizeLimitError
 
 
 @dataclass(frozen=True)
@@ -26,8 +24,8 @@ def brute_force_max(obj, lat: FiniteLattice, *, height_cap=None, cost=None,
 
     Feasibility can be cut by a height cap, a cost budget, or both.
     """
-    if lat.n > _SCAN_CAP:
-        raise SizeLimitError(f"{lat.n} elements exceed the scan cap {_SCAN_CAP}")
+    if lat.n > SCAN_CAP:
+        raise SizeLimitError(f"{lat.n} elements exceed the scan cap {SCAN_CAP}")
     if (cost is None) != (budget is None):
         raise ValueError("cost and budget go together")
     best, best_v, feasible = None, None, 0

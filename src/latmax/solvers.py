@@ -16,8 +16,10 @@ concave rho (Jensen). The sweep bounds every candidate from q, scores the
 highest-bound ones exactly to get a lower bound on the best score, then
 scores exactly only the candidates whose bound still reaches it. The
 first maximum among those, in column order, is the first maximum over all
-columns, so the chosen direction is the full sweep's. Objectives without
-such a bound (the quantum cut) and double greedy keep the full sweep.
+columns, so the chosen direction is the one scoring every column would
+choose. Objectives without such a bound (the quantum cut) and double
+greedy pass none, and every candidate is scored. Scores are exact and do
+not depend on which candidates are scored together (_score_columns).
 """
 
 from __future__ import annotations
@@ -71,12 +73,6 @@ class RandomRestart:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"random strategy needs at least one sample, got {self.samples}")
-
-
-# candidate columns scored per batch. Each batch holds a rows x columns
-# float64 energy buffer (32 MB at 1000 rows); wider batches make the sweep
-# memory-bound. Scores are per column, so the width never changes a result.
-_CHUNK = 4096
 
 
 def describe_strategy(strategy) -> str:
@@ -135,13 +131,15 @@ def _grid_points(axes):
     return np.stack([m.ravel() for m in mesh])
 
 
-def _best_direction(sweep, strategy, dim, rng):
+def _best_direction(sweep, strategy, dim, rng, gap=None):
     """Maximize a direction score over the unit sphere of R^dim.
 
     sweep maps a (dim, m) matrix of raw candidates to (best_score,
     best_unit, candidates, evaluated), the last two counting the unit
-    columns proposed and scored exactly. Returns the same four, with the
-    counts summed over every sweep made.
+    columns proposed and scored exactly. When the raw candidates are
+    coordinates in the orthonormal columns of gap, best_unit is gap times
+    them. Returns the same four, with the counts summed over every sweep
+    made.
     """
     if isinstance(strategy, RandomRestart):
         return sweep(rng.normal(size=(dim, strategy.samples)))
@@ -154,7 +152,8 @@ def _best_direction(sweep, strategy, dim, rng):
         if best_u is None:
             break
         width /= 5.0
-        axes = [np.linspace(c - 5 * width, c + 5 * width, 11) for c in best_u]
+        center = best_u if gap is None else gap.T @ best_u
+        axes = [np.linspace(c - 5 * width, c + 5 * width, 11) for c in center]
         s, u, c, e = sweep(_grid_points(axes))
         candidates, evaluated = candidates + c, evaluated + e
         if u is not None and s > best_s:
@@ -162,49 +161,32 @@ def _best_direction(sweep, strategy, dim, rng):
     return best_s, best_u, candidates, evaluated
 
 
-def _full_sweep(propose, score):
-    """Score every candidate. propose maps raw columns to unit columns,
-    score maps unit columns to their scores; the first maximum wins."""
-    def sweep(raw):
-        best_s, best_u, seen = -np.inf, None, 0
-        for lo in range(0, raw.shape[1], _CHUNK):
-            units = propose(raw[:, lo:lo + _CHUNK])
-            scores = score(units)
-            seen += scores.size
-            if scores.size == 0:
-                continue
-            k = int(np.argmax(scores))
-            if scores[k] > best_s:
-                best_s, best_u = float(scores[k]), units[:, k].copy()
-        return best_s, best_u, seen, seen
-    return sweep
-
-
 # candidates scored exactly before pruning; the best of them is the lower
 # bound every other candidate's upper bound must reach
 _PROBE = 256
-# gathered candidates are scored in slices this wide (a multiple of 8): a
-# 0.5 MB energy buffer at 1000 rows. A second greedy step can keep 1,500
-# candidates, and scoring them in one 12 MB buffer raised the process's
-# peak memory by up to 6 MB.
-_GATHER = 64
+# candidates are scored in slices this wide (a multiple of 8): a 4 MB energy
+# buffer at 1000 rows. Narrower slices pay a per-call overhead that
+# dominates on few rows, as in a 5-vertex quantum cut.
+_GATHER = 512
 
 
-def _pruned_sweep(propose, score, bound):
-    """Same result as _full_sweep(propose, score), scoring exactly only the
-    candidates whose upper bound (bound maps unit columns to upper bounds on
-    their scores) reaches the best of the _PROBE highest-bound ones."""
+def _sweep(propose, score, bound=None):
+    """Best candidate direction. propose maps raw columns to unit columns,
+    score maps unit columns to their scores, and bound, if given, to upper
+    bounds on them; the first maximum wins. Only the candidates whose bound
+    reaches the best of the _PROBE highest-bound ones are scored, so without
+    a bound every candidate is."""
     def sweep(raw):
-        batches = [propose(raw[:, lo:lo + _CHUNK]) for lo in range(0, raw.shape[1], _CHUNK)]
-        m = sum(b.shape[1] for b in batches)
+        units = propose(raw)
+        m = units.shape[1]
         if m == 0:
             return -np.inf, None, 0, 0
-        upper = np.concatenate([bound(b) for b in batches])
+        upper = np.full(m, np.inf) if bound is None else bound(units)
         scores, done = np.empty(m), np.zeros(m, dtype=bool)
 
         def fill(idx):
             todo = idx[~done[idx]]
-            scores[todo] = _batch_scores(score, batches, todo)
+            scores[todo] = _score_columns(score, units, todo)
             done[todo] = True
 
         top = max(m - _PROBE, 0)
@@ -213,59 +195,25 @@ def _pruned_sweep(propose, score, bound):
         keep = np.flatnonzero(upper >= low - 1e-9 * max(1.0, abs(low)))
         fill(keep)
         best = keep[int(np.argmax(scores[keep]))]
-        which, pos, _ = _locate(batches, np.array([best]))
-        return float(scores[best]), batches[which[0]][:, pos[0]].copy(), m, int(done.sum())
+        return float(scores[best]), units[:, best].copy(), m, int(done.sum())
     return sweep
 
 
-def _locate(batches, idx):
-    """Batch and position in it of the columns idx of the concatenated
-    batches, and the widths of those batches."""
-    widths = np.array([b.shape[1] for b in batches])
-    starts = np.cumsum(widths) - widths
-    which = np.searchsorted(starts, idx, side="right") - 1
-    return which, idx - starts[which], widths[which]
-
-
-def _batch_scores(score, batches, idx):
-    """Scores of the columns idx (increasing) of the concatenated batches,
-    bit-identical to scoring each batch whole.
-
-    BLAS computes the last (width mod 8) columns of a product with edge
-    kernels whose bits differ, and a one-column energy buffer sums its rows
-    pairwise, so a batch that holds such a column is scored whole. The other
-    columns are gathered and go through _score_columns.
-    """
-    which, pos, widths = _locate(batches, idx)
-    whole = np.zeros(len(batches), dtype=bool)
-    whole[which[pos >= widths - widths % 8]] = True
+def _score_columns(score, units, idx):
+    """Scores of the columns idx of units. They are scored in slices of
+    _GATHER, each padded with zero columns to a multiple of 8 in the units'
+    own memory order. BLAS computes the last (width mod 8) columns of a
+    product with edge kernels whose bits differ, and a one-column energy
+    buffer sums its rows pairwise; with the padding every column sits on a
+    full tile, so its score does not depend on the columns it is scored
+    with."""
+    order = "F" if units.flags.f_contiguous else "C"
     out = np.empty(idx.size)
-    for b in np.flatnonzero(whole):
-        sel = which == b
-        out[sel] = score(batches[b])[pos[sel]]
-    rest = ~whole[which]
-    if rest.any():
-        gather = np.zeros(len(batches), dtype=bool)
-        gather[which[rest]] = True
-        cols = np.concatenate([batches[b][:, pos[rest & (which == b)]]
-                               for b in np.flatnonzero(gather)], axis=1)
-        order = "F" if batches[which[rest][0]].flags.f_contiguous else "C"
-        out[rest] = _score_columns(score, cols, order)
-    return out
-
-
-def _score_columns(score, units, order):
-    """Scores of gathered unit columns, bit-identical to their scores at
-    full-tile positions of a wide batch of the same memory order: the
-    columns are padded with zero columns to a multiple of 8 and scored in
-    slices of _GATHER."""
-    m = units.shape[1]
-    out = np.empty(m)
-    for lo in range(0, m, _GATHER):
-        part = units[:, lo:lo + _GATHER]
-        padded = np.zeros((units.shape[0], -(-part.shape[1] // 8) * 8), order=order)
-        padded[:, :part.shape[1]] = part
-        out[lo:lo + part.shape[1]] = score(padded)[:part.shape[1]]
+    for lo in range(0, idx.size, _GATHER):
+        part = idx[lo:lo + _GATHER]
+        padded = np.zeros((units.shape[0], -(-part.size // 8) * 8), order=order)
+        padded[:, :part.size] = units[:, part]
+        out[lo:lo + part.size] = score(padded)[:part.size]
     return out
 
 
@@ -389,8 +337,7 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
             def bound(units):
                 q = np.einsum("ij,ij->j", units, obj.scatter @ units) + offset
                 return bound_of(q)
-            sweep = (_full_sweep(propose, score) if bound_of is None
-                     else _pruned_sweep(propose, score, bound))
+            sweep = _sweep(propose, score, None if bound_of is None else bound)
             best_v, unit, candidates, evaluated = _best_direction(sweep, strategy, d, rng)
         if unit is None:
             break
@@ -574,10 +521,10 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
                 np.subtract(eb[:, None], e, out=e)
                 return obj.value_from_scratch_energies(e)
 
-            up_v, up_unit, _, _ = _best_direction(_full_sweep(propose, score_up),
-                                                  strategy, m, rng)
-            down_v, down_unit, _, _ = _best_direction(_full_sweep(propose, score_down),
-                                                      strategy, m, rng)
+            up_v, up_unit, _, _ = _best_direction(_sweep(propose, score_up),
+                                                  strategy, m, rng, gap)
+            down_v, down_unit, _, _ = _best_direction(_sweep(propose, score_down),
+                                                      strategy, m, rng, gap)
         alpha, beta = up_v - fa, down_v - fb
         record = {"iteration": it, "alpha": alpha, "beta": beta,
                   "a_height": a.dim, "b_height": b.dim, "a_leq_b": True}

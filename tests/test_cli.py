@@ -82,6 +82,18 @@ class TestDoubleGreedy:
         ref = double_greedy(QuantumCutObjective(graph), SetLattice(3))
         assert doc["value"] == ref.value and doc["element"] == ref.element
 
+    def test_grid_refinement_on_the_subspace_lattice(self, data_csv, tmp_path):
+        # refinement centres on the best unit in the gap basis's coordinates
+        out = tmp_path / "rep.json"
+        rc = main(["double-greedy", "--objective", "gpca", "--lattice", "vector:3",
+                   "--data", str(data_csv), "--strategy", "grid:0.1:1",
+                   "--report", str(out)])
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["iterations_used"] == 3
+        for it in doc["iterations"]:
+            assert abs(np.linalg.norm(it["direction"]) - 1.0) < 1e-12
+
 
 class TestOracle:
     def test_mirrors_solver_flags(self, table_json, capsys):
@@ -137,6 +149,28 @@ class TestExperiment:
         assert names == {"scatter_x1_x2.csv", "scatter_x2_x3.csv",
                          "scatter_x3_x1.csv", "summary.json"}
         assert "plain plane" in capsys.readouterr().out
+
+
+def test_one_parser_serves_consecutive_calls(table_json, data_csv, capsys):
+    # main parses with one parser per process; no call may see another's flags
+    from latmax.cli import build_parser
+    table = ["--objective", "table", "--lattice", "set:2", "--table", str(table_json)]
+    calls = [["greedy", *table, "--k", "1"],
+             ["knapsack", *table, "--budget", "1"],
+             ["oracle", *table, "--k", "1"],
+             ["oracle", *table],
+             ["double-greedy", *table],
+             ["diagnose", *table, "--direction", "strong"],
+             ["greedy", "--objective", "pca", "--lattice", "vector:3", "--data", str(data_csv),
+              "--k", "2", "--strategy", "random:64", "--seed", "3"],
+             ["greedy", "--objective", "pca", "--lattice", "vector:3", "--data", str(data_csv),
+              "--k", "2"]]
+    outs = []
+    for argv in calls + calls[::-1]:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[:len(calls)] == outs[len(calls):][::-1]
+    assert build_parser() is build_parser()
 
 
 class TestUsageErrors:
@@ -333,6 +367,9 @@ class TestInputErrors:
         ("--cost", {"base": "x", "increments": {"1": 1.0, "2": 1.0}}, "base"),
         ("--graph", {"vertices": {"a": 1}, "edges": [[0, 1, 1.0]]}, "vertices"),
         ("--lattice", {"kind": "explicit", "n": "x", "cover_edges": [[0, 1]]}, "n"),
+        ("--lattice", {"kind": "explicit", "n": 2.5, "cover_edges": [[0, 1]]}, "n"),
+        ("--graph", {"vertices": np.eye(2).tolist(), "edges": [[0, "x", 1]]}, "edges"),
+        ("--graph", {"vertices": np.eye(2).tolist(), "edges": [[0, 1.5, 1]]}, "edges"),
     ])
     def test_json_input_value_of_the_wrong_type(self, flag, doc, key, tmp_path, table_json,
                                                 data_csv, capsys):

@@ -136,21 +136,6 @@ class TestGreedyHeightVector:
         b = greedy_height(obj, VectorLattice(3), 2, strategy=RandomRestart(), seed=3)
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_chunk_width_leaves_the_sweep_unchanged(self, monkeypatch):
-        # candidates are scored in column batches of solvers._CHUNK; a score
-        # depends only on its own column, so any width gives the same run
-        from latmax import solvers
-        from latmax.experiments import MixtureSpec, generate_mixture
-        from latmax.objectives import GeneralizedPCAObjective, fractional_energy_family
-        data = generate_mixture(MixtureSpec())
-        obj = GeneralizedPCAObjective(data, fractional_energy_family(data))
-        runs = []
-        for width in (16384, 512):
-            monkeypatch.setattr(solvers, "_CHUNK", width)
-            rep = greedy_height(obj, VectorLattice(3), 2, strategy=Grid(width=0.05))
-            runs.append(json.dumps(rep.to_json_dict()))
-        assert runs[0] == runs[1]
-
     def test_pruned_search_scores_few_candidates_exactly(self):
         from latmax.experiments import MixtureSpec, generate_mixture
         from latmax.objectives import GeneralizedPCAObjective, fractional_energy_family
@@ -165,12 +150,6 @@ class TestGreedyHeightVector:
         assert "evaluated" not in eigen.iterations[0]
 
 
-def _unit_batches(rng, d, widths):
-    """Unit columns as the sweep proposes them, one array per batch."""
-    from latmax.solvers import _unitize
-    return [_unitize(rng.normal(size=(d, w))) for w in widths]
-
-
 def _energy_score(rows):
     from latmax.objectives import GeneralizedPCAObjective, fractional_energy_family
     obj = GeneralizedPCAObjective(rows, fractional_energy_family(rows))
@@ -182,28 +161,45 @@ def _energy_score(rows):
     return score
 
 
-@pytest.mark.parametrize("n, d", [(1, 3), (1000, 3), (1000, 16)])
+@pytest.mark.parametrize("n, d", [(1, 3), (1, 16), (7, 3), (7, 16), (1000, 3), (1000, 16)])
 def test_padded_columns_match_full_batch_scores(n, d, rng):
-    from latmax.solvers import _CHUNK, _score_columns
+    # greedy proposes _unitize's columns (F order), double greedy the gap
+    # basis times them (C order); one-row data scores the two orders differently
+    from latmax.solvers import _score_columns, _unitize
     score = _energy_score(rng.normal(size=(n, d)))
-    (units,) = _unit_batches(rng, d, [_CHUNK])
-    full = score(units)
-    for k in range(1, 10):
-        idx = np.sort(rng.choice(_CHUNK, k, replace=False))
-        assert np.array_equal(_score_columns(score, units[:, idx], "F"), full[idx])
+    gap = np.linalg.qr(rng.normal(size=(d, d - 1)))[0]
+    for order, units in (("F", _unitize(rng.normal(size=(d, 4096)))),
+                         ("C", gap @ _unitize(rng.normal(size=(d - 1, 4096))))):
+        assert units.shape[1] == 4096 and units.flags.f_contiguous == (order == "F")
+        full = score(units)
+        for k in (1, 2, 7, 9, 600, 4096):
+            idx = np.sort(rng.choice(4096, k, replace=False))
+            assert np.array_equal(_score_columns(score, units, idx), full[idx])
 
 
-@pytest.mark.parametrize("n", [1, 7, 1000])
-def test_batch_scores_match_whole_batches(n, rng):
-    # widths with ragged ends (4093 mod 8 = 5) and a one-column batch
-    from latmax.solvers import _batch_scores
-    score = _energy_score(rng.normal(size=(n, 3)))
-    batches = _unit_batches(rng, 3, [4096, 4093, 13, 1, 300])
-    widths = np.array([b.shape[1] for b in batches])
-    whole = np.concatenate([score(b) for b in batches])
-    for idx in (np.arange(widths.sum()), np.sort(rng.choice(widths.sum(), 40, replace=False)),
-                np.cumsum(widths) - 1):
-        assert np.array_equal(_batch_scores(score, batches, idx), whole[idx])
+def test_gather_width_leaves_the_sweep_unchanged(monkeypatch, rng):
+    # candidates are scored in slices of solvers._GATHER, and a column's
+    # score does not depend on the columns it shares a slice with
+    from latmax import solvers
+    from latmax.experiments import MixtureSpec, generate_mixture
+    from latmax.objectives import GeneralizedPCAObjective, fractional_energy_family
+    mixture = generate_mixture(MixtureSpec())
+    one_row = rng.normal(size=(1, 3))
+    vertices = rng.normal(size=(5, 3))
+    qcut = QuantumCutObjective(WeightedDigraph(vertices, ((0, 1, 1.0), (1, 2, 0.5),
+                                                          (3, 4, 2.0), (4, 0, 0.7))))
+    runs = {}
+    for width in (8, 512):
+        monkeypatch.setattr(solvers, "_GATHER", width)
+        reps = []
+        for data in (mixture, one_row):
+            gpca = GeneralizedPCAObjective(data, fractional_energy_family(data))
+            reps.append(greedy_height(gpca, VectorLattice(3), 2, strategy=Grid(width=0.05)))
+            reps.append(double_greedy(gpca, VectorLattice(3), strategy=Grid(width=0.1)))
+        reps.append(double_greedy(qcut, VectorLattice(3), strategy=Grid(width=0.1)))
+        reps.append(greedy_height(qcut, VectorLattice(3), 2, strategy=RandomRestart(1000)))
+        runs[width] = [json.dumps(r.to_json_dict()) for r in reps]
+    assert runs[8] == runs[512]
 
 
 class TestGreedyKnapsack:
