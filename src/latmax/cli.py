@@ -110,6 +110,13 @@ def _integer(value):
     return value
 
 
+def _number(value):
+    """``value`` if it is a JSON number; ``float`` would take "0.5" and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return value
+
+
 def _numbers(doc, key, container):
     """``doc[key]``, checked to be a JSON list (``container`` is ``list``) or
     object (``dict``) whose values are all numbers."""
@@ -207,7 +214,7 @@ def _load_cost(arg, lat):
         step = float(parts[1]) if len(parts) > 1 else 1.0
         return ModularCost.uniform(lat, step=step)
     return _read_json(arg, lambda doc: ModularCost(lat, _numbers(doc, "increments", dict),
-                                                   base=_converted(doc, "base", float, 0.0)))
+                                                   base=_converted(doc, "base", _number, 0.0)))
 
 
 def _emit(doc: dict, args, summary: str) -> None:

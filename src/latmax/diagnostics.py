@@ -22,7 +22,7 @@ from latmax.dictionary import (
     coherence_vectors,
     enumerate_lattice,
 )
-from latmax.lattice import SCAN_CAP, FiniteLattice, SizeLimitError
+from latmax.lattice import SCAN_CAP, FiniteLattice, SetLattice, SizeLimitError
 from latmax.objectives import TableObjective
 from latmax.subspaces import Direction, Subspace, vjoin
 
@@ -151,10 +151,47 @@ def measure_downward_gap(obj, lat: FiniteLattice) -> GapReport:
                      excluded_triples=excluded, triples_scanned=scanned)
 
 
+def _set_upward_gap(vals, n_items: int) -> GapReport:
+    """The upward scan on a subset lattice. There every irreducible is an
+    item a, the one foot of Y is Y - a and every closure is a singleton,
+    so the violation at (X, a, Y) is m_a(Z) - m_a(X) with Z = Y - a. The
+    worst over Y is a superset-max of m_a over the masks that miss a:
+    Yates' zeta transform with max, one pass per other item."""
+    if not n_items:
+        return GapReport("upward", 0.0)
+    n = 1 << n_items
+    # viol[X, i]: worst violation of item i at X; -inf where X holds i
+    viol = np.full((n, n_items), -np.inf)
+    for i in range(n_items):
+        pair = vals.reshape(-1, 2, 1 << i)
+        low = pair[:, 1] - pair[:, 0]  # m_a over the masks missing a
+        up = low.flatten()
+        for j in range(n_items - 1):
+            half = up.reshape(-1, 2, 1 << j)
+            np.maximum(half[:, 0], half[:, 1], out=half[:, 0])
+        viol.reshape(-1, 2, 1 << i, n_items)[:, 0, :, i] = up.reshape(low.shape) - low
+    # the first worst in (X, a) order, then its first Y, as the scan finds it
+    x, i = divmod(int(np.argmax(viol)), n_items)
+    a = 1 << i
+    lhs = vals[x | a] - vals[x]
+    ids = np.arange(n)
+    zs = ids[(ids & (x | a)) == x]
+    rhs = vals[zs | a] - vals[zs]
+    k = int(np.argmax(rhs - lhs))
+    worst = float(rhs[k] - lhs)
+    witness = {"X": x, "a": a, "Y": int(zs[k] | a), "lhs_marginal": float(lhs),
+               "rhs_maxmin": float(rhs[k]), "violation": worst}
+    return GapReport("upward", max(0.0, worst), witness,
+                     triples_scanned=n_items * 3 ** (n_items - 1))
+
+
 def measure_upward_gap(obj, lat: FiniteLattice) -> GapReport:
     """Worst violation of: the gain of a step at X is not beaten by the
     cheapest completion of any larger step into a target above X join a.
     Scans X, a admissible to X, Y >= X join a."""
+    if isinstance(lat, SetLattice):
+        _check_scan_cap(lat)
+        return _set_upward_gap(_value_vector(obj, lat), lat.n_items)
     vals, irr, m, adm, leq, above = _scan_inputs(obj, lat)
     steps = lat.steps
     worst, witness, excluded = -np.inf, None, 0

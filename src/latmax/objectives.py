@@ -333,8 +333,11 @@ class ModularCost:
         missing = set(lat.join_irreducibles()) - set(self.increments)
         if missing:
             raise ValueError(f"missing increments for irreducibles {sorted(missing)}")
-        if min(self.increments.values()) < 0:
-            raise ValueError("increments must be nonnegative")
+        if not np.isfinite(self.base):
+            raise ValueError(f"base must be finite, got {self.base}")
+        # NaN fails every comparison, so test for what is allowed
+        if not all(0.0 <= c < np.inf for c in self.increments.values()):
+            raise ValueError("increments must be finite and nonnegative")
 
     @classmethod
     def uniform(cls, lat, step=1.0, base=0.0) -> "ModularCost":

@@ -370,6 +370,8 @@ class TestInputErrors:
         ("--lattice", {"kind": "explicit", "n": 2.5, "cover_edges": [[0, 1]]}, "n"),
         ("--graph", {"vertices": np.eye(2).tolist(), "edges": [[0, "x", 1]]}, "edges"),
         ("--graph", {"vertices": np.eye(2).tolist(), "edges": [[0, 1.5, 1]]}, "edges"),
+        ("--cost", {"base": "0.5", "increments": {"1": 1.0, "2": 1.0}}, "base"),
+        ("--cost", {"base": True, "increments": {"1": 1.0, "2": 1.0}}, "base"),
     ])
     def test_json_input_value_of_the_wrong_type(self, flag, doc, key, tmp_path, table_json,
                                                 data_csv, capsys):
@@ -435,6 +437,28 @@ class TestInputErrors:
                    "--table", str(table_json), "--budget", budget, "--cost", "uniform"])
         assert rc == 2
         self._one_error_line(capsys, "--budget", "finite")
+
+    @pytest.mark.parametrize("command", ["knapsack", "oracle"])
+    @pytest.mark.parametrize("cost, key", [
+        ('{"base": NaN, "increments": {"1": 1.0, "2": 1.0}}', "base"),
+        ('{"base": Infinity, "increments": {"1": 1.0, "2": 1.0}}', "base"),
+        ('{"increments": {"1": NaN, "2": 1.0}}', "increments"),
+    ])
+    def test_non_finite_cost_file(self, command, cost, key, tmp_path, table_json, capsys):
+        path = tmp_path / "cost.json"
+        path.write_text(cost)
+        rc = main([command, "--objective", "table", "--lattice", "set:2",
+                   "--table", str(table_json), "--budget", "1", "--cost", str(path)])
+        assert rc == 2
+        self._one_error_line(capsys, str(path), key, "finite")
+
+    @pytest.mark.parametrize("command", ["knapsack", "oracle"])
+    @pytest.mark.parametrize("step", ["nan", "inf"])
+    def test_non_finite_uniform_cost(self, command, step, table_json, capsys):
+        rc = main([command, "--objective", "table", "--lattice", "set:2",
+                   "--table", str(table_json), "--budget", "1", "--cost", f"uniform:{step}"])
+        assert rc == 2
+        self._one_error_line(capsys, "increments", "finite")
 
     @pytest.mark.parametrize("command", ["greedy", "oracle"])
     def test_negative_height_cap(self, command, table_json, capsys):

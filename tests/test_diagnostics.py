@@ -148,6 +148,13 @@ class TestGapScans:
             check_prop1_equivalence(lat, 1)
         assert not WHOLE_LATTICE_TABLES & set(lat.__dict__)
 
+    def test_set_upward_scan_builds_no_whole_lattice_table(self, rng):
+        lat = SetLattice(12)
+        rep = measure_upward_gap(random_table(rng, lat), lat)
+        assert rep.triples_scanned == 12 * 3 ** 11
+        assert rep.excluded_triples == 0
+        assert not WHOLE_LATTICE_TABLES & set(lat.__dict__)
+
     def test_strong_dominates_directional(self, rng, m3, n5):
         for lat in (SetLattice(4), m3, n5):
             for _ in range(5):

@@ -1,7 +1,9 @@
 """The step table, the table-driven gap scans and the flat enumeration of
 span lattices against the loop-based code they replaced (`reference.py`):
 identical tables, identical lattice queries, identical span bases, and
-byte-identical gap reports, witnesses included. Every lattice's order,
+byte-identical gap reports, witnesses included. The upward scan's
+superset-max transform on subset lattices against the table-driven scan
+on the same lattice given explicitly. Every lattice's order,
 join, meet and height tables and join-irreducibles against the same built
 by definition from its elements, Birkhoff's distributivity test against
 the triple scan, and the work counts of enumeration and `diagnose`.
@@ -12,6 +14,7 @@ Greedy's bound-pruned direction search against the full sweep:
 byte-identical reports."""
 
 import json
+from functools import cache
 from unittest import mock
 
 import numpy as np
@@ -120,6 +123,13 @@ def objective(lat, kind, seed):
         w *= rng.random(w.shape) < 0.5
         np.fill_diagonal(w, 0.0)
         return QuantumCutObjective(WeightedDigraph.complete_classical(w))
+    if kind == "ulps" and isinstance(lat, SetLattice):
+        # ties broken by an ulp or two: two marginals that differ can give
+        # equal violations once m_a(X) is subtracted
+        v = rng.choice([0.0, 0.3, 1.0, 7.0, 1e3], lat.n)
+        for _ in range(3):
+            v = np.where(rng.random(lat.n) < 0.5, np.nextafter(v, np.inf), v)
+        return TableObjective(v)
     if kind == "cut" and hasattr(lat, "dictionary"):
         data = rng.normal(size=(12, lat.dictionary.ambient_dim))
         return GeneralizedPCAObjective(data, fractional_energy_family(data, 0.3))
@@ -173,6 +183,39 @@ def test_gap_reports_match_reference(lat, kind, seed):
         assert got.pop("triples_scanned") >= got["excluded_triples"]
         want.pop("triples_scanned")
         assert json.dumps(got) == json.dumps(want)
+
+
+@cache
+def generic_set_lattice(n_items):
+    """SetLattice(n_items) as an explicit lattice: the same ids and order,
+    without the subset-lattice path of the upward scan."""
+    return ExplicitLattice(SetLattice(n_items).leq_matrix())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.sampled_from(["random", "ties", "cut", "ulps"]),
+       st.integers(0, 2 ** 32 - 1))
+@example(0, "random", 0)
+@example(4, "ulps", 5)  # the first largest m_a(Z) is not the witness
+def test_set_upward_transform_matches_the_generic_scan(n_items, kind, seed):
+    assume(n_items or kind != "cut")
+    lat = SetLattice(n_items)
+    obj = objective(lat, kind, seed)
+    got = measure_upward_gap(obj, lat).to_json_dict()
+    want = measure_upward_gap(obj, generic_set_lattice(n_items)).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)
+
+
+@pytest.mark.parametrize("n_items, kind, seed", [(8, "cut", 0), (8, "ties", 1),
+                                                 (9, "cut", 2), (9, "random", 3)])
+def test_set_upward_transform_matches_reference(n_items, kind, seed):
+    lat = SetLattice(n_items)
+    obj = objective(lat, kind, seed)
+    got = measure_upward_gap(obj, lat).to_json_dict()
+    assert got.pop("triples_scanned") == n_items * 3 ** (n_items - 1)
+    want = ref.measure_upward_gap(obj, lat).to_json_dict()
+    want.pop("triples_scanned")
+    assert json.dumps(got) == json.dumps(want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -256,6 +256,19 @@ class TestModularCost:
         with pytest.raises(ValueError):
             ModularCost(lat, {1: 1.0, 2: -0.5})
 
+    @pytest.mark.parametrize("increment, base, words", [
+        (float("nan"), 0.0, "increments must be finite"),
+        (float("inf"), 0.0, "increments must be finite"),
+        (1.0, float("nan"), "base must be finite"),
+        (1.0, float("-inf"), "base must be finite"),
+    ])
+    def test_non_finite_increment_or_base_rejected(self, increment, base, words):
+        with pytest.raises(ValueError, match=words):
+            ModularCost(SetLattice(2), {1: 1.0, 2: increment}, base=base)
+
+    def test_lattice_without_irreducibles_takes_no_increments(self):
+        assert ModularCost(SetLattice(0), {}, base=0.5).of(0) == 0.5
+
     def test_order_consistency_vacuous_on_antichains(self):
         lat = SetLattice(3)
         ok, witness = check_order_consistency(lat, {1: 5.0, 2: 1.0, 4: 0.5})
