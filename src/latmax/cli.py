@@ -66,6 +66,7 @@ from .solvers import (
     double_greedy,
     greedy_height,
     greedy_knapsack,
+    spec_fields,
     strategy_from_name,
 )
 from .subspaces import VectorLattice, load_vectors_csv
@@ -81,11 +82,13 @@ def _read_json(path, load):
     """Parse the JSON input at ``path`` and build it with ``load``. A key that
     ``load`` needs and the file lacks, a value of the wrong type, or one that
     ``load`` refuses, is reported with the file, and with the input's kind
-    when it names one."""
-    doc = json.loads(Path(path).read_text())
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    what = f"{kind} input" if isinstance(kind, str) else "input"
+    when it names one; so is a file that is not JSON."""
+    what = "input"
     try:
+        doc = json.loads(Path(path).read_text())
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if isinstance(kind, str):
+            what = f"{kind} input"
         return load(doc)
     except KeyError as exc:
         raise ValueError(f"{what} {path} has no {exc.args[0]!r} key") from None
@@ -141,10 +144,11 @@ def _lattice_from_json(doc):
 
 
 def load_lattice(arg: str):
-    if arg.startswith("set:"):
-        return SetLattice(int(arg.split(":", 1)[1]))
-    if arg.startswith("vector:"):
-        return VectorLattice(int(arg.split(":", 1)[1]))
+    kind, fields = spec_fields(arg, "set:N", "vector:D")
+    if kind == "set":
+        return SetLattice(int(fields[0]))
+    if kind == "vector":
+        return VectorLattice(int(fields[0]))
     return _read_json(arg, _lattice_from_json)
 
 
@@ -153,14 +157,11 @@ def _load_rho(arg, data):
         return fractional_energy_family(data)
     if arg == "identity":
         return ConcaveRho.identity()
-    kind, *fields = arg.split(":")
-    if kind == "capped" and 1 <= len(fields) <= 2:
+    kind, fields = spec_fields(arg, "capped:THRESHOLD[:SLOPE]", "fractional[:FRACTION[:SLOPE]]")
+    if kind == "capped":
         return ConcaveRho.capped(*map(float, fields))
-    if kind == "fractional" and len(fields) <= 2:
+    if kind == "fractional":
         return fractional_energy_family(data, *map(float, fields))
-    if kind in ("capped", "fractional"):
-        raise ValueError(f"--rho {arg!r}: expected capped:THRESHOLD[:SLOPE] "
-                         f"or fractional[:FRACTION[:SLOPE]]")
     return _read_json(arg, rho_from_json_dict)
 
 
@@ -209,10 +210,9 @@ def load_objective(args, lat):
 
 def _load_cost(arg, lat):
     arg = arg or "uniform"
-    if arg.split(":")[0] == "uniform":
-        parts = arg.split(":")
-        step = float(parts[1]) if len(parts) > 1 else 1.0
-        return ModularCost.uniform(lat, step=step)
+    kind, fields = spec_fields(arg, "uniform[:STEP]")
+    if kind == "uniform":
+        return ModularCost.uniform(lat, *map(float, fields))
     return _read_json(arg, lambda doc: ModularCost(lat, _numbers(doc, "increments", dict),
                                                    base=_converted(doc, "base", _number, 0.0)))
 
@@ -411,8 +411,7 @@ def main(argv=None) -> int:
     try:
         _check_limits(args)
         return args.func(args)
-    except (ValueError, TypeError, NotALatticeError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, NotALatticeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

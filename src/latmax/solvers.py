@@ -86,20 +86,32 @@ def describe_strategy(strategy) -> str:
     return "exhaustive"
 
 
+def spec_fields(spec: str, *forms: str):
+    """Split a colon spec such as ``grid:0.1:2`` into its kind and fields,
+    checked against the form of that kind among forms, written like
+    ``grid[:WIDTH[:ROUNDS]]``: fields outside brackets are required, those
+    inside optional. The fields are None when no form has the spec's kind."""
+    kind, *fields = spec.split(":")
+    for form in forms:
+        required = form.split("[")[0]
+        if required.split(":")[0] == kind:
+            if required.count(":") <= len(fields) <= form.count(":"):
+                return kind, fields
+            raise ValueError(f"{spec!r}: expected {' or '.join(forms)}")
+    return kind, None
+
+
 def strategy_from_name(name: str):
     if name in (None, "", "exhaustive"):
         return None
     if name == "exact-eigen":
         return ExactEigen()
-    parts = name.split(":")
-    if parts[0] == "grid":
-        width = float(parts[1]) if len(parts) > 1 else 0.025
-        rounds = int(parts[2]) if len(parts) > 2 else 0
-        return Grid(width=width, refine_rounds=rounds)
-    if parts[0] == "random":
-        # a third field is accepted and ignored: the solver's seed drives the draw
-        samples = int(parts[1]) if len(parts) > 1 else 8192
-        return RandomRestart(samples=samples)
+    kind, fields = spec_fields(name, "grid[:WIDTH[:ROUNDS]]", "random[:SAMPLES[:SEED]]")
+    if kind == "grid":
+        return Grid(*map(float, fields[:1]), *map(int, fields[1:]))
+    if kind == "random":
+        # SEED is accepted and ignored: the solver's seed drives the draw
+        return RandomRestart(*map(int, fields[:1]))
     raise ValueError(f"unknown strategy {name!r}")
 
 
@@ -164,18 +176,29 @@ def _best_direction(sweep, strategy, dim, rng, gap=None):
 # candidates scored exactly before pruning; the best of them is the lower
 # bound every other candidate's upper bound must reach
 _PROBE = 256
-# candidates are scored in slices this wide (a multiple of 8): a 4 MB energy
-# buffer at 1000 rows. Narrower slices pay a per-call overhead that
-# dominates on few rows, as in a 5-vertex quantum cut.
+# a slice's energy buffer (n_rows x width float64s) stays within this many
+# bytes, well inside L2: a 512-column slice is 4 MB at 1000 rows
+_SLICE_BYTES = 1 << 20
+# the widest slice; on few rows, as in a 5-vertex quantum cut, wider slices
+# gain nothing and narrower ones pay a per-call overhead
 _GATHER = 512
 
 
-def _sweep(propose, score, bound=None):
+def _slice_width(n_rows):
+    """Columns scored together on n_rows data rows: the most whose energy
+    buffer fits _SLICE_BYTES, a multiple of 8 between 8 and _GATHER."""
+    fit = _SLICE_BYTES // (8 * max(n_rows, 1))
+    return min(_GATHER, max(8, fit // 8 * 8))
+
+
+def _sweep(propose, score, n_rows, bound=None):
     """Best candidate direction. propose maps raw columns to unit columns,
-    score maps unit columns to their scores, and bound, if given, to upper
-    bounds on them; the first maximum wins. Only the candidates whose bound
-    reaches the best of the _PROBE highest-bound ones are scored, so without
-    a bound every candidate is."""
+    score maps unit columns to their scores on n_rows data rows, and bound,
+    if given, to upper bounds on them; the first maximum wins. Only the
+    candidates whose bound reaches the best of the _PROBE highest-bound ones
+    are scored, so without a bound every candidate is."""
+    width = _slice_width(n_rows)
+
     def sweep(raw):
         units = propose(raw)
         m = units.shape[1]
@@ -186,7 +209,7 @@ def _sweep(propose, score, bound=None):
 
         def fill(idx):
             todo = idx[~done[idx]]
-            scores[todo] = _score_columns(score, units, todo)
+            scores[todo] = _score_columns(score, units, todo, width)
             done[todo] = True
 
         top = max(m - _PROBE, 0)
@@ -199,18 +222,18 @@ def _sweep(propose, score, bound=None):
     return sweep
 
 
-def _score_columns(score, units, idx):
+def _score_columns(score, units, idx, width):
     """Scores of the columns idx of units. They are scored in slices of
-    _GATHER, each padded with zero columns to a multiple of 8 in the units'
-    own memory order. BLAS computes the last (width mod 8) columns of a
-    product with edge kernels whose bits differ, and a one-column energy
-    buffer sums its rows pairwise; with the padding every column sits on a
-    full tile, so its score does not depend on the columns it is scored
-    with."""
+    width columns (_slice_width), each padded with zero columns to a
+    multiple of 8 in the units' own memory order. BLAS computes the last
+    (width mod 8) columns of a product with edge kernels whose bits differ,
+    and a one-column energy buffer sums its rows pairwise; with the padding
+    every column sits on a full tile, so its score depends neither on the
+    columns it is scored with nor on the width."""
     order = "F" if units.flags.f_contiguous else "C"
     out = np.empty(idx.size)
-    for lo in range(0, idx.size, _GATHER):
-        part = idx[lo:lo + _GATHER]
+    for lo in range(0, idx.size, width):
+        part = idx[lo:lo + width]
         padded = np.zeros((units.shape[0], -(-part.size // 8) * 8), order=order)
         padded[:, :part.size] = units[:, part]
         out[lo:lo + part.size] = score(padded)[:part.size]
@@ -337,7 +360,7 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
             def bound(units):
                 q = np.einsum("ij,ij->j", units, obj.scatter @ units) + offset
                 return bound_of(q)
-            sweep = _sweep(propose, score, None if bound_of is None else bound)
+            sweep = _sweep(propose, score, len(rows), None if bound_of is None else bound)
             best_v, unit, candidates, evaluated = _best_direction(sweep, strategy, d, rng)
         if unit is None:
             break
@@ -521,9 +544,9 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
                 np.subtract(eb[:, None], e, out=e)
                 return obj.value_from_scratch_energies(e)
 
-            up_v, up_unit, _, _ = _best_direction(_sweep(propose, score_up),
+            up_v, up_unit, _, _ = _best_direction(_sweep(propose, score_up, len(rows)),
                                                   strategy, m, rng, gap)
-            down_v, down_unit, _, _ = _best_direction(_sweep(propose, score_down),
+            down_v, down_unit, _, _ = _best_direction(_sweep(propose, score_down, len(rows)),
                                                       strategy, m, rng, gap)
         alpha, beta = up_v - fa, down_v - fb
         record = {"iteration": it, "alpha": alpha, "beta": beta,

@@ -174,5 +174,7 @@ class VectorLattice:
 
 def load_vectors_csv(path) -> np.ndarray:
     """Read one vector per row from a comma-separated file."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    return data
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"data file {path}: {exc}") from None

@@ -411,6 +411,39 @@ class TestInputErrors:
         assert rc == 2
         self._one_error_line(capsys, repr(rho), "capped:THRESHOLD[:SLOPE]")
 
+    @pytest.mark.parametrize("flag, spec", [
+        ("--strategy", "grid:0.1:0:junk"), ("--strategy", "random:5:1:junk"),
+        ("--cost", "uniform:1:junk"), ("--lattice", "set:2:1"),
+    ])
+    def test_colon_spec_with_extra_fields(self, flag, spec, table_json, data_csv, capsys):
+        argv = {"--strategy": ["greedy", "--objective", "pca", "--lattice", "vector:3",
+                               "--data", str(data_csv), "--k", "1"],
+                "--cost": ["knapsack", "--objective", "table", "--lattice", "set:2",
+                           "--table", str(table_json), "--budget", "1"],
+                "--lattice": ["greedy", "--objective", "table", "--table", str(table_json),
+                              "--k", "1"]}[flag]
+        assert main([*argv, flag, spec]) == 2
+        self._one_error_line(capsys, repr(spec), "expected")
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--table", '{"values": [0,\n 1, 2'),
+        ("--lattice", '{"kind": "explicit", "n": 2'),
+        ("--cost", '{"increments": {"1": 1.0,}}'),
+        ("--data", '{"values": [0, 1]}\n'),
+    ], ids=["table", "lattice", "cost", "data"])
+    def test_input_file_that_does_not_parse(self, flag, text, tmp_path, table_json, capsys):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        table = ["--objective", "table", "--lattice", "set:2", "--table", str(table_json)]
+        argv = {"--table": ["greedy", *table[:4], "--table", str(path), "--k", "1"],
+                "--lattice": ["greedy", "--objective", "table", "--lattice", str(path),
+                              "--table", str(table_json), "--k", "1"],
+                "--cost": ["knapsack", *table, "--budget", "1", "--cost", str(path)],
+                "--data": ["greedy", "--objective", "pca", "--lattice", "vector:3",
+                           "--data", str(path), "--k", "1"]}[flag]
+        assert main(argv) == 2
+        self._one_error_line(capsys, str(path))
+
     @pytest.mark.parametrize("strategy, words", [
         ("grid:0", "grid width"), ("grid:-0.5", "grid width"), ("grid:inf", "grid width"),
         ("grid:0.2:-1", "refine rounds"), ("random:0", "at least one sample"),

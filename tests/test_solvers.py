@@ -165,7 +165,7 @@ def _energy_score(rows):
 def test_padded_columns_match_full_batch_scores(n, d, rng):
     # greedy proposes _unitize's columns (F order), double greedy the gap
     # basis times them (C order); one-row data scores the two orders differently
-    from latmax.solvers import _score_columns, _unitize
+    from latmax.solvers import _score_columns, _slice_width, _unitize
     score = _energy_score(rng.normal(size=(n, d)))
     gap = np.linalg.qr(rng.normal(size=(d, d - 1)))[0]
     for order, units in (("F", _unitize(rng.normal(size=(d, 4096)))),
@@ -174,23 +174,36 @@ def test_padded_columns_match_full_batch_scores(n, d, rng):
         full = score(units)
         for k in (1, 2, 7, 9, 600, 4096):
             idx = np.sort(rng.choice(4096, k, replace=False))
-            assert np.array_equal(_score_columns(score, units, idx), full[idx])
+            assert np.array_equal(_score_columns(score, units, idx, _slice_width(n)),
+                                  full[idx])
+
+
+@pytest.mark.parametrize("n_rows, expected", [(1, 512), (5, 512), (200, 512),
+                                               (1000, 128), (10 ** 5, 8)])
+def test_slice_width_keeps_the_energy_buffer_in_one_mebibyte(n_rows, expected):
+    from latmax.solvers import _slice_width
+    width = _slice_width(n_rows)
+    assert width == expected
+    assert width % 8 == 0 and 8 <= width <= 512
+    assert width == 8 or n_rows * width * 8 <= 1 << 20
 
 
 def test_gather_width_leaves_the_sweep_unchanged(monkeypatch, rng):
-    # candidates are scored in slices of solvers._GATHER, and a column's
-    # score does not depend on the columns it shares a slice with
+    # candidates are scored in slices of solvers._slice_width(n_rows) columns,
+    # and a column's score does not depend on the columns it shares a slice with
     from latmax import solvers
     from latmax.experiments import MixtureSpec, generate_mixture
     from latmax.objectives import GeneralizedPCAObjective, fractional_energy_family
     mixture = generate_mixture(MixtureSpec())
     one_row = rng.normal(size=(1, 3))
+    wide = rng.normal(size=(1000, 16)) / np.sqrt(1.0 + np.arange(16))
     vertices = rng.normal(size=(5, 3))
     qcut = QuantumCutObjective(WeightedDigraph(vertices, ((0, 1, 1.0), (1, 2, 0.5),
                                                           (3, 4, 2.0), (4, 0, 0.7))))
     runs = {}
-    for width in (8, 512):
-        monkeypatch.setattr(solvers, "_GATHER", width)
+    for width in (None, 8, 512):  # None: the width from the row count
+        if width is not None:
+            monkeypatch.setattr(solvers, "_slice_width", lambda n_rows: width)
         reps = []
         for data in (mixture, one_row):
             gpca = GeneralizedPCAObjective(data, fractional_energy_family(data))
@@ -198,8 +211,11 @@ def test_gather_width_leaves_the_sweep_unchanged(monkeypatch, rng):
             reps.append(double_greedy(gpca, VectorLattice(3), strategy=Grid(width=0.1)))
         reps.append(double_greedy(qcut, VectorLattice(3), strategy=Grid(width=0.1)))
         reps.append(greedy_height(qcut, VectorLattice(3), 2, strategy=RandomRestart(1000)))
+        wide_gpca = GeneralizedPCAObjective(wide, fractional_energy_family(wide))
+        reps.append(greedy_height(wide_gpca, VectorLattice(16), 2,
+                                  strategy=RandomRestart(2000), seed=3))
         runs[width] = [json.dumps(r.to_json_dict()) for r in reps]
-    assert runs[8] == runs[512]
+    assert runs[None] == runs[8] == runs[512]
 
 
 class TestGreedyKnapsack:
