@@ -209,6 +209,8 @@ def load_objective(args, lat):
 
 
 def _load_cost(arg, lat):
+    if not isinstance(lat, FiniteLattice):
+        raise TypeError("costs and budgets need a finite lattice")
     arg = arg or "uniform"
     kind, fields = spec_fields(arg, "uniform[:STEP]")
     if kind == "uniform":
@@ -240,8 +242,6 @@ def cmd_greedy(args) -> int:
 
 def cmd_knapsack(args) -> int:
     lat = load_lattice(args.lattice)
-    if isinstance(lat, VectorLattice):
-        raise TypeError("budgeted greedy runs on finite lattices")
     obj = load_objective(args, lat)
     cost = _load_cost(args.cost, lat)
     rep = greedy_knapsack(obj, lat, cost, args.budget)

@@ -22,7 +22,7 @@ from latmax.dictionary import (
     coherence_vectors,
     enumerate_lattice,
 )
-from latmax.lattice import SCAN_CAP, FiniteLattice, SetLattice, SizeLimitError
+from latmax.lattice import FiniteLattice, SetLattice, check_scan_cap
 from latmax.objectives import TableObjective
 from latmax.subspaces import Direction, Subspace, vjoin
 
@@ -74,15 +74,9 @@ _BOUND_TOL = 1e-9  # slack of the coherence and saturation bound checks
 _PROP1_TOL = 1e-12  # largest spread of three gaps that still agree
 
 
-def _check_scan_cap(lat: FiniteLattice) -> None:
-    """Refuse a lattice above ``SCAN_CAP`` elements, before any table is built."""
-    if lat.n > SCAN_CAP:
-        raise SizeLimitError(f"{lat.n} elements exceed the gap-scan cap {SCAN_CAP}")
-
-
 def _scan_inputs(obj, lat: FiniteLattice):
     """Inputs shared by the scans."""
-    _check_scan_cap(lat)
+    check_scan_cap(lat, "the gap scan")
     vals = _value_vector(obj, lat)
     irr, m, adm = _marginals(lat, vals)
     leq = lat.leq_matrix()
@@ -190,7 +184,7 @@ def measure_upward_gap(obj, lat: FiniteLattice) -> GapReport:
     cheapest completion of any larger step into a target above X join a.
     Scans X, a admissible to X, Y >= X join a."""
     if isinstance(lat, SetLattice):
-        _check_scan_cap(lat)
+        check_scan_cap(lat, "the gap scan")
         return _set_upward_gap(_value_vector(obj, lat), lat.n_items)
     vals, irr, m, adm, leq, above = _scan_inputs(obj, lat)
     steps = lat.steps
@@ -266,7 +260,7 @@ def reevaluate_witness(obj, lat: FiniteLattice, report: GapReport) -> float:
 def check_prop1_equivalence(lat: FiniteLattice, trials: int, *, seed=0) -> bool:
     """On a distributive lattice the three gap measurements must agree,
     and every closure must be a singleton."""
-    _check_scan_cap(lat)
+    check_scan_cap(lat, "the gap scan")
     if not lat.is_distributive():
         raise ValueError("equivalence check needs a distributive lattice")
     for col in lat.steps.T:

@@ -164,6 +164,16 @@ class FiniteLattice:
         return True
 
 
+def check_scan_cap(lat, what: str) -> None:
+    """Refuse a lattice that ``what``, an exhaustive scan, cannot visit:
+    one that is not finite, or one above ``SCAN_CAP`` elements. Called
+    before any table is built."""
+    if not isinstance(lat, FiniteLattice):
+        raise TypeError(f"{what} runs on finite lattices")
+    if lat.n > SCAN_CAP:
+        raise SizeLimitError(f"{lat.n} elements exceed the scan cap {SCAN_CAP} of {what}")
+
+
 class SetLattice(FiniteLattice):
     """Subset lattice of {0,...,n_items-1}; element ids are bitmasks.
 

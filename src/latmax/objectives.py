@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from latmax.lattice import FiniteLattice
+from latmax.lattice import SCAN_CAP, FiniteLattice, SetLattice
 from latmax.subspaces import Subspace
 
 
@@ -321,16 +321,22 @@ def _subspace_payload(lat, e) -> Subspace:
 class ModularCost:
     """Cost that adds a fixed increment per join-irreducible step.
 
-    Evaluation walks a canonical chain from the bottom, always taking the
-    lowest-indexed admissible irreducible below the target. For genuinely
-    modular assignments the walk order does not matter.
+    An element's cost is the base plus the increments along a canonical
+    chain from the bottom, which always takes the lowest-indexed admissible
+    irreducible below the element. For genuinely modular assignments the
+    chain does not matter.
     """
 
     def __init__(self, lat: FiniteLattice, increments, base=0.0):
         self.lat = lat
         self.base = float(base)
         self.increments = {int(a): float(c) for a, c in increments.items()}
-        missing = set(lat.join_irreducibles()) - set(self.increments)
+        irr = lat.join_irreducibles()
+        unknown = sorted(set(self.increments) - set(irr))
+        if unknown:
+            raise ValueError(f"increment keys {unknown} are not join-irreducible "
+                             f"elements among the ids 0..{lat.n - 1}")
+        missing = set(irr) - set(self.increments)
         if missing:
             raise ValueError(f"missing increments for irreducibles {sorted(missing)}")
         if not np.isfinite(self.base):
@@ -344,20 +350,48 @@ class ModularCost:
         """Height cost when every irreducible step costs the same."""
         return cls(lat, {a: step for a in lat.join_irreducibles()}, base)
 
+    @cached_property
+    def costs(self) -> np.ndarray:
+        """Read-only cost of every element, from one pass that adds each
+        element's increments in the order of its canonical chain."""
+        lat = self.lat
+        irr = lat.join_irreducibles()
+        inc = np.array([self.increments[a] for a in irr])
+        costs = np.full(lat.n, self.base)
+        if isinstance(lat, SetLattice):
+            # the chain adds a mask's bits in increasing order; bit k is
+            # set in the upper half of every block of 2^(k+1) ids
+            for k, c in enumerate(inc):
+                costs.reshape(-1, 2, 1 << k)[:, 1] += c
+        else:
+            # every element's chain advances at once, by the first
+            # admissible irreducible below it
+            below = lat.leq_matrix()[list(irr)]
+            x = np.full(lat.n, lat.bottom)
+            live = np.flatnonzero(x != np.arange(lat.n))
+            while live.size:
+                at = x[live]
+                i = ((lat.steps[:, at] >= 0) & below[:, live]).argmax(axis=0)
+                costs[live] += inc[i]
+                x[live] = lat.steps[i, at]
+                live = live[x[live] != live]
+        costs.flags.writeable = False
+        return costs
+
     def of(self, e) -> float:
         lat = self.lat
-        total = self.base
-        x = lat.bottom
-        while x != e:
-            a = next(a for a in lat.admissibles(x)
-                     if lat.leq(a, e) and a != x)
-            total += self.increments[a]
-            x = lat.join(a, x)
-        return total
+        if isinstance(lat, SetLattice) and lat.n > SCAN_CAP:
+            # above the cap, no whole-lattice vector: the bits as in `costs`
+            total = self.base
+            for k in range(lat.n_items):
+                if e >> k & 1:
+                    total += self.increments[1 << k]
+            return total
+        return float(self.costs[e])
 
     def is_modular(self) -> bool:
         """Exhaustive pairwise check of the valuation identity."""
-        vals = np.array([self.of(e) for e in range(self.lat.n)])
+        vals = self.costs
         jt, mt = self.lat.join_table(), self.lat.meet_table()
         lhs = vals[:, None] + vals[None, :]
         rhs = vals[jt] + vals[mt]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from latmax.lattice import SCAN_CAP, FiniteLattice, SizeLimitError
+import numpy as np
+
+from latmax.lattice import FiniteLattice, check_scan_cap
 
 
 @dataclass(frozen=True)
@@ -20,24 +22,25 @@ class BruteForceResult:
 
 def brute_force_max(obj, lat: FiniteLattice, *, height_cap=None, cost=None,
                     budget=None) -> BruteForceResult:
-    """Scan every element; ties go to the lowest element id.
+    """Value every feasible element, in increasing id order; ties go to the
+    lowest element id.
 
     Feasibility can be cut by a height cap, a cost budget, or both.
     """
-    if lat.n > SCAN_CAP:
-        raise SizeLimitError(f"{lat.n} elements exceed the scan cap {SCAN_CAP}")
+    check_scan_cap(lat, "the exhaustive oracle")
     if (cost is None) != (budget is None):
         raise ValueError("cost and budget go together")
-    best, best_v, feasible = None, None, 0
-    for e in range(lat.n):
-        if height_cap is not None and lat.height(e) > height_cap:
-            continue
-        if cost is not None and cost.of(e) > budget + 1e-12:
-            continue
-        feasible += 1
+    feasible = np.ones(lat.n, dtype=bool)
+    if height_cap is not None:
+        feasible &= lat.heights <= height_cap
+    if cost is not None:
+        feasible &= cost.costs <= budget + 1e-12
+    ids = np.flatnonzero(feasible).tolist()
+    if not ids:
+        raise ValueError("no feasible element")
+    best, best_v = None, None
+    for e in ids:
         v = obj.value(lat, e)
         if best_v is None or v > best_v:
             best, best_v = e, v
-    if best is None:
-        raise ValueError("no feasible element")
-    return BruteForceResult(best, float(best_v), feasible)
+    return BruteForceResult(best, float(best_v), len(ids))

@@ -14,9 +14,11 @@ spans deduplicated by projector, order by a containment scan over the
 projector stack, meet by a search for the highest common lower bound;
 and the coherence report with one join and one meet query per pair.
 Finite double greedy as it was written before `FiniteLattice.descents`,
-finding each iteration's descents by scanning every element. Subspace
-containment and the cover pairs of a finite lattice, which the library
-does not need.
+finding each iteration's descents by scanning every element. Modular
+costs by the chain walk and the exhaustive oracle as one feasibility test
+and one value per element, which the cost vector and the feasibility mask
+replaced. Subspace containment and the cover pairs of a finite lattice,
+which the library does not need.
 The differential tests run them as oracles against the table-driven
 code, which must agree bit for bit, witnesses included.
 """
@@ -30,6 +32,7 @@ import numpy as np
 from latmax.diagnostics import GapReport
 from latmax.dictionary import CoherenceReport, EnumeratedLattice, _alignment
 from latmax.lattice import SetLattice
+from latmax.oracle import BruteForceResult
 from latmax.solvers import SolveReport
 from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, vjoin
 
@@ -448,3 +451,34 @@ def descents(lat, a, b):
         hmax = max(lat.height(e) for e in between)
         downs = [e for e in between if lat.height(e) == hmax]
     return downs
+
+
+def cost_of(cost, e) -> float:
+    """`ModularCost.of` as a walk up a chain from the bottom, always taking
+    the lowest-indexed admissible irreducible below the target."""
+    lat = cost.lat
+    total = cost.base
+    x = lat.bottom
+    while x != e:
+        a = next(a for a in lat.admissibles(x)
+                 if lat.leq(a, e) and a != x)
+        total += cost.increments[a]
+        x = lat.join(a, x)
+    return total
+
+
+def brute_force_max(obj, lat, *, height_cap=None, cost=None, budget=None) -> BruteForceResult:
+    """The exhaustive oracle as one feasibility test and one value per element."""
+    best, best_v, feasible = None, None, 0
+    for e in range(lat.n):
+        if height_cap is not None and lat.height(e) > height_cap:
+            continue
+        if cost is not None and cost_of(cost, e) > budget + 1e-12:
+            continue
+        feasible += 1
+        v = obj.value(lat, e)
+        if best_v is None or v > best_v:
+            best, best_v = e, v
+    if best is None:
+        raise ValueError("no feasible element")
+    return BruteForceResult(best, float(best_v), feasible)

@@ -212,6 +212,25 @@ class TestInputErrors:
         assert rc == 2
         self._one_error_line(capsys, "8192 elements", "cap 4096")
 
+    @pytest.mark.parametrize("command", [
+        ["oracle"], ["oracle", "--budget", "1"], ["diagnose", "--direction", "all"]])
+    def test_exhaustive_scans_on_the_subspace_lattice(self, command, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        np.savetxt(data, np.eye(2), delimiter=",")
+        rc = main([command[0], "--objective", "pca", "--lattice", "vector:2",
+                   "--data", str(data), *command[1:]])
+        assert rc == 2
+        self._one_error_line(capsys, "finite lattice")
+
+    @pytest.mark.parametrize("key", ["3", "99"])
+    def test_cost_key_that_names_no_irreducible(self, key, tmp_path, table_json, capsys):
+        path = tmp_path / "cost.json"
+        path.write_text(json.dumps({"increments": {"1": 1.0, "2": 1.0, key: 1.0}}))
+        rc = main(["oracle", "--objective", "table", "--lattice", "set:2",
+                   "--table", str(table_json), "--budget", "1", "--cost", str(path)])
+        assert rc == 2
+        self._one_error_line(capsys, str(path), f"increment keys [{key}]", "ids 0..3")
+
     @pytest.mark.parametrize("command", [["greedy", "--k", "1"], ["diagnose"]])
     def test_table_shorter_than_lattice(self, command, tmp_path, capsys):
         table = tmp_path / "short.json"

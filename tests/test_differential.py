@@ -10,6 +10,8 @@ the triple scan, and the work counts of enumeration and `diagnose`.
 Finite double greedy and its descents against the scan over every
 element: byte-identical reports, the same candidates, and the objective
 and height calls of one run on a 2^16-element subset lattice.
+Modular costs against the chain walk, bit for bit, and the exhaustive
+oracle against its one-element-at-a-time loop, ties included.
 Greedy's bound-pruned direction search against the full sweep:
 byte-identical reports."""
 
@@ -44,6 +46,7 @@ from latmax.objectives import (
     WeightedDigraph,
     fractional_energy_family,
 )
+from latmax.oracle import brute_force_max
 from latmax.solvers import Grid, RandomRestart, double_greedy, greedy_height, greedy_knapsack
 from latmax.subspaces import VectorLattice
 
@@ -283,10 +286,91 @@ def test_double_greedy_work_on_a_large_set_lattice():
 def test_solvers_build_no_whole_lattice_table():
     lat = SetLattice(16)
     obj = TableObjective(np.random.default_rng(0).random(lat.n))
+    cost = ModularCost.uniform(lat)
     greedy_height(obj, lat, 3)
-    greedy_knapsack(obj, lat, ModularCost.uniform(lat), 3.0)
+    greedy_knapsack(obj, lat, cost, 3.0)
     double_greedy(obj, lat)
     assert not WHOLE_LATTICE_TABLES & set(lat.__dict__)
+    assert not any(np.size(v) == lat.n for v in vars(cost).values())
+
+
+cost_lattices = st.one_of(st.integers(0, 7).map(SetLattice), lattices)
+
+
+def random_cost(lat, kind, rng):
+    """Increments drawn at random, from two tied values, or half of them
+    zero; the sums of 0.1 and 0.3 round differently in different orders."""
+    irr = lat.join_irreducibles()
+    if kind == "random":
+        incs = rng.uniform(0.0, 3.0, len(irr))
+    elif kind == "tied":
+        incs = rng.choice([0.1, 0.3], len(irr))
+    else:
+        incs = np.where(rng.random(len(irr)) < 0.5, 0.0, rng.uniform(0.0, 3.0, len(irr)))
+    return ModularCost(lat, dict(zip(irr, incs.tolist())), base=float(rng.normal()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cost_lattices, st.sampled_from(["random", "tied", "zero"]), st.integers(0, 2 ** 32 - 1))
+def test_costs_match_the_chain_walk(lat, kind, seed):
+    cost = random_cost(lat, kind, np.random.default_rng(seed))
+    walk = [ref.cost_of(cost, e) for e in range(lat.n)]
+    assert [cost.of(e) for e in range(lat.n)] == walk
+    assert cost.costs.tolist() == walk
+
+
+@pytest.mark.parametrize("kind", ["random", "tied", "zero"])
+def test_costs_above_the_scan_cap_match_the_chain_walk(kind):
+    lat = SetLattice(13)
+    rng = np.random.default_rng(0)
+    cost = random_cost(lat, kind, rng)
+    for e in rng.integers(lat.n, size=50).tolist() + [lat.top]:
+        assert cost.of(e) == ref.cost_of(cost, e)
+    assert "costs" not in vars(cost)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cost_lattices, st.sampled_from(["random", "tied", "zero"]), st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.none(), st.integers(0, 5)), st.booleans(),
+       st.sampled_from([0.0, -5e-13, -2e-12]))
+def test_oracle_matches_the_element_loop(lat, kind, seed, height_cap, budgeted, slack):
+    """Budgets sit at an element's cost, or just below it, inside and
+    outside the oracle's 1e-12 slack; tied values exercise the tie-break."""
+    rng = np.random.default_rng(seed)
+    cost = random_cost(lat, kind, rng)
+    obj = objective(lat, "ties" if kind == "tied" else "table", seed)
+    budget = cost.of(int(rng.integers(lat.n))) + slack if budgeted else None
+    args = dict(height_cap=height_cap, cost=cost if budgeted else None, budget=budget)
+    try:
+        expected = ref.brute_force_max(obj, lat, **args)
+    except ValueError:
+        with pytest.raises(ValueError, match="no feasible element"):
+            brute_force_max(obj, lat, **args)
+        return
+    assert brute_force_max(obj, lat, **args) == expected
+
+
+def test_budgeted_oracle_work_on_a_set_lattice():
+    """The budgeted oracle reads its costs from one vector: no admissibility
+    query, and one value per feasible element."""
+    lat = SetLattice(9)
+    obj = objective(lat, "cut", 0)
+    calls = {"value": 0, "admissibles": 0}
+    value, admissibles = obj.value, SetLattice.admissibles
+
+    def counted_value(lat, e):
+        calls["value"] += 1
+        return value(lat, e)
+
+    def counted_admissibles(self, x):
+        calls["admissibles"] += 1
+        return admissibles(self, x)
+
+    with mock.patch.object(obj, "value", counted_value), \
+            mock.patch.object(SetLattice, "admissibles", counted_admissibles):
+        res = brute_force_max(obj, lat, cost=ModularCost.uniform(lat), budget=4.5)
+    assert res.feasible_count == 1 + 9 + 36 + 84 + 126
+    assert calls == {"value": res.feasible_count, "admissibles": 0}
 
 
 dictionaries = st.one_of(

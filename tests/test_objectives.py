@@ -19,7 +19,7 @@ from latmax.objectives import (
 )
 from latmax.subspaces import Subspace
 
-from conftest import make_chain, random_orthonormal
+from conftest import make_chain, make_n5, random_orthonormal
 from test_dictionary import tilted_pair
 
 
@@ -255,6 +255,15 @@ class TestModularCost:
             ModularCost(lat, {1: 1.0})
         with pytest.raises(ValueError):
             ModularCost(lat, {1: 1.0, 2: -0.5})
+
+    @pytest.mark.parametrize("lat, key", [(SetLattice(2), 3), (SetLattice(2), 99),
+                                          (make_n5(), 0), (make_n5(), -1)])
+    def test_increment_for_no_irreducible_rejected(self, lat, key):
+        incs = {a: 1.0 for a in lat.join_irreducibles()}
+        with pytest.raises(ValueError, match=re.escape(f"increment keys [{key}] are not "
+                                                       f"join-irreducible elements among "
+                                                       f"the ids 0..{lat.n - 1}")):
+            ModularCost(lat, {**incs, key: 1.0})
 
     @pytest.mark.parametrize("increment, base, words", [
         (float("nan"), 0.0, "increments must be finite"),
