@@ -162,7 +162,20 @@ def _load_rho(arg, data):
         return ConcaveRho.capped(*map(float, fields))
     if kind == "fractional":
         return fractional_energy_family(data, *map(float, fields))
-    return _read_json(arg, rho_from_json_dict)
+    return _read_json(arg, _rho_from_json)
+
+
+def _rho_from_json(doc):
+    """``rho_from_json_dict`` on a document whose numbers, where present,
+    are JSON numbers and whose knot and threshold lists hold only those."""
+    if isinstance(doc, dict):
+        for key in ("threshold", "slope"):
+            if key in doc:
+                _converted(doc, key, _number)
+        for key in ("t", "y", "thresholds"):
+            if key in doc:
+                _numbers(doc, key, list)
+    return rho_from_json_dict(doc)
 
 
 def load_objective(args, lat):

@@ -101,29 +101,18 @@ class FiniteLattice:
             out[i, ok] = jt[a, ok]
         return out
 
-    def _step(self, a: int, x: int) -> int:
-        if not self.is_join_irreducible(a):
-            raise ValueError(f"element {a} is not join-irreducible")
-        return int(self.steps[self._join_irreducibles.index(a), x])
-
-    def is_join_irreducible(self, a: int) -> bool:
-        return a in self._join_irreducibles
-
-    def is_admissible(self, a: int, x: int) -> bool:
-        """True when a is a legal unit step from x: a is join-irreducible,
-        a is not below x, and every element strictly below a is below x."""
-        return self._step(a, x) >= 0
-
     def admissibles(self, x: int) -> tuple[int, ...]:
         irr = self._join_irreducibles
         return tuple(irr[i] for i in np.flatnonzero(self.steps[:, x] >= 0))
 
     def closure_of(self, a: int, x: int) -> tuple[int, ...]:
         """Admissible elements producing the same join with x as a does."""
-        target = self._step(a, x)
+        irr = self._join_irreducibles
+        if a not in irr:
+            raise ValueError(f"element {a} is not join-irreducible")
+        target = self.steps[irr.index(a), x]
         if target < 0:
             raise ValueError(f"element {a} is not admissible to {x}")
-        irr = self._join_irreducibles
         return tuple(irr[i] for i in np.flatnonzero(self.steps[:, x] == target))
 
     def descents(self, a: int, b: int) -> list[int]:
@@ -234,14 +223,6 @@ class SetLattice(FiniteLattice):
     @cached_property
     def _join_irreducibles(self):
         return tuple(1 << k for k in range(self.n_items))
-
-    def is_join_irreducible(self, a):
-        return int(a).bit_count() == 1
-
-    def is_admissible(self, a, x):
-        if not self.is_join_irreducible(a):
-            raise ValueError(f"element {a} is not join-irreducible")
-        return a & x == 0
 
     def admissibles(self, x):
         return tuple(1 << k for k in range(self.n_items) if not x >> k & 1)

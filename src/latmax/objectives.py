@@ -60,8 +60,8 @@ class ConcaveRho:
     @classmethod
     def capped(cls, threshold, slope=0.1):
         """Identity up to the threshold, then a gentler slope."""
-        if threshold <= 0 or not 0 <= slope <= 1:
-            raise ValueError("need threshold > 0 and slope in [0, 1]")
+        if not (0 < threshold < np.inf and 0 <= slope <= 1):
+            raise ValueError("need a finite threshold > 0 and slope in [0, 1]")
         return cls([0.0, threshold, 2 * threshold],
                    [0.0, threshold, threshold + slope * threshold])
 
@@ -95,8 +95,10 @@ class SaturatingFamily:
 
     def __post_init__(self):
         th = np.asarray(self.thresholds, dtype=float)
-        if th.ndim != 1 or th.min() < 0:
-            raise ValueError("thresholds must be a nonnegative vector")
+        # NaN fails every comparison, so test for what is allowed
+        if not (th.ndim == 1 and th.size and ((0.0 <= th) & (th < np.inf)).all()):
+            raise ValueError("thresholds must be a nonempty vector of finite, "
+                             "nonnegative numbers")
         if not 0 <= self.slope <= 1:
             raise ValueError("slope must lie in [0, 1]")
         object.__setattr__(self, "thresholds", th)
@@ -160,6 +162,11 @@ class PCAObjective:
     def value(self, lat: FiniteLattice, e) -> float:
         return self.value_of_subspace(_subspace_payload(lat, e))
 
+    def energy_bound(self):
+        """Upper bound on the value of a subspace capturing q energy in
+        total, as a vectorized function of q: q itself."""
+        return lambda q: q
+
 
 class GeneralizedPCAObjective(PCAObjective):
     """Captured energy reshaped per datum by a concave function."""
@@ -188,6 +195,16 @@ class GeneralizedPCAObjective(PCAObjective):
             np.minimum(energies, fam.thresholds[:, None], out=energies)
             return fam.slope * total + (1.0 - fam.slope) * energies.sum(axis=0)
         return self.value_from_energies(energies)
+
+    def energy_bound(self):
+        """s*q + (1-s)*min(q, sum(t)) for a saturating family with slope s
+        and thresholds t; n*rho(q/n) on n rows for one concave rho (Jensen)."""
+        rho = self.rho
+        if isinstance(rho, SaturatingFamily):
+            s, total = rho.slope, float(rho.thresholds.sum())
+            return lambda q: s * q + (1.0 - s) * np.minimum(q, total)
+        n = self.data.shape[0]
+        return lambda q: n * rho.apply(q / n)
 
 
 def _is_edge(e) -> bool:
@@ -282,6 +299,10 @@ class QuantumCutObjective:
 
     def value_from_scratch_energies(self, energies):
         return self.value_from_energies(energies)
+
+    def energy_bound(self):
+        """None: no bound on the cut from the captured energy alone."""
+        return None
 
     def value_of_subspace(self, sub: Subspace) -> float:
         return float(self.value_from_energies(self.energies(sub)))

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from latmax.lattice import FiniteLattice, check_scan_cap
+from latmax.solvers import first_max
 
 
 @dataclass(frozen=True)
@@ -38,9 +39,5 @@ def brute_force_max(obj, lat: FiniteLattice, *, height_cap=None, cost=None,
     ids = np.flatnonzero(feasible).tolist()
     if not ids:
         raise ValueError("no feasible element")
-    best, best_v = None, None
-    for e in ids:
-        v = obj.value(lat, e)
-        if best_v is None or v > best_v:
-            best, best_v = e, v
+    best, best_v = first_max(ids, lambda e: obj.value(lat, e))
     return BruteForceResult(best, float(best_v), len(ids))

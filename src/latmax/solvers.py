@@ -10,11 +10,10 @@ inherits the objective's exchange inequality.
 
 Greedy's grid and random sweeps are pruned. A candidate unit u captures
 q = u^T S u + sum(base) energy in total (S the d x d scatter matrix), and
-the objective's value is at most a function of q: q itself for plain PCA,
-s*q + (1-s)*min(q, sum(t)) for a saturating family, n*rho(q/n) for one
-concave rho (Jensen). The sweep bounds every candidate from q, scores the
-highest-bound ones exactly to get a lower bound on the best score, then
-scores exactly only the candidates whose bound still reaches it. The
+the objective's value is at most the function of q that its
+energy_bound() returns. The sweep bounds every candidate from q, scores
+the highest-bound ones exactly to get a lower bound on the best score,
+then scores exactly only the candidates whose bound still reaches it. The
 first maximum among those, in column order, is the first maximum over all
 columns, so the chosen direction is the one scoring every column would
 choose. Objectives without such a bound (the quantum cut) and double
@@ -30,11 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from latmax.lattice import FiniteLattice
-from latmax.objectives import (
-    GeneralizedPCAObjective,
-    PCAObjective,
-    SaturatingFamily,
-)
+from latmax.objectives import PCAObjective
 from latmax.subspaces import (
     Direction,
     Subspace,
@@ -253,22 +248,24 @@ def _unitize(raw, against=None):
 
 
 def _is_plain_pca(obj) -> bool:
-    return isinstance(obj, PCAObjective) and not isinstance(obj, GeneralizedPCAObjective)
+    return type(obj) is PCAObjective
 
 
-def _energy_bound(obj):
-    """Upper bound on the objective's value as a function of the total
-    captured energy q (vectorized), or None when it has none."""
-    if _is_plain_pca(obj):
-        return lambda q: q
-    if not isinstance(obj, GeneralizedPCAObjective):
-        return None
-    rho = obj.rho
-    if isinstance(rho, SaturatingFamily):
-        s, total = rho.slope, float(rho.thresholds.sum())
-        return lambda q: s * q + (1.0 - s) * np.minimum(q, total)
-    n = obj.feature_rows.shape[0]
-    return lambda q: n * rho.apply(q / n)
+def _scorer(obj, base, sign):
+    """Scores of unit columns: the objective's value on the energies base
+    plus (sign 1) or minus (sign -1) each column's squared projections of
+    the feature rows. The energy buffer is the scorer's own scratch."""
+    rows, base = obj.feature_rows, base[:, None]
+
+    def score(units):
+        e = rows @ units
+        np.square(e, out=e)
+        if sign > 0:
+            e += base
+        else:
+            np.subtract(base, e, out=e)
+        return obj.value_from_scratch_energies(e)
+    return score
 
 
 def _residual_scatter_top(obj, base: Subspace):
@@ -286,6 +283,18 @@ def _residual_scatter_top(obj, base: Subspace):
     return gain, resid / n
 
 
+def first_max(items, key):
+    """The first of items with the largest key, and that key; (None, None)
+    when there are none. Every finite choice goes through it, so a tie goes
+    to the earliest candidate."""
+    best, best_key = None, None
+    for item in items:
+        k = key(item)
+        if best_key is None or k > best_key:
+            best, best_key = item, k
+    return best, best_key
+
+
 def greedy_height(obj, lat, k, *, strategy=None, seed=0) -> SolveReport:
     """Height-constrained greedy: repeatedly join the admissible step of
     largest resulting value while the height stays within k."""
@@ -300,23 +309,19 @@ def _greedy_height_finite(obj, lat: FiniteLattice, k) -> SolveReport:
     report = SolveReport("greedy-height", current, element=x,
                          meta={"k": k, "strategy": "exhaustive", "n_elements": lat.n})
     for step in range(k):
-        best, best_v = None, None
-        for a in lat.admissibles(x):
-            y = lat.join(a, x)
-            if lat.height(y) > k:
-                continue
-            v = obj.value(lat, y)
-            if best_v is None or v > best_v:
-                best, best_v = a, v
+        # the admissible steps (a, a ∨ x) that stay within the height cap
+        joins = ((a, lat.join(a, x)) for a in lat.admissibles(x))
+        best, value = first_max([s for s in joins if lat.height(s[1]) <= k],
+                                lambda s: obj.value(lat, s[1]))
         if best is None:
             break
-        y = lat.join(best, x)
+        a, y = best
         report.iterations.append({
-            "step": step, "element": int(best), "label": lat.label(best),
-            "marginal": best_v - current, "value": best_v,
+            "step": step, "element": int(a), "label": lat.label(a),
+            "marginal": value - current, "value": value,
             "height": lat.height(y),
         })
-        x, current = y, best_v
+        x, current = y, value
     report.value, report.element = float(current), int(x)
     return report
 
@@ -331,8 +336,7 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
     if isinstance(strategy, ExactEigen) and not _is_plain_pca(obj):
         raise ValueError("the eigenvector step needs a plain quadratic objective")
     rng = np.random.default_rng(seed)
-    rows = obj.feature_rows
-    bound_of = _energy_bound(obj)
+    bound_of = obj.energy_bound()
     x = lat.bottom()
     energies = obj.energies(x)
     current = float(obj.value_from_energies(energies))
@@ -344,23 +348,16 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
             gain, unit = _residual_scatter_top(obj, x)
             best_v = current + gain if unit is not None else None
         else:
-            base = energies[:, None] if energies.any() else None
             offset = float(energies.sum())
 
             def propose(raw):
                 return _unitize(raw, against=x)
 
-            def score(units):
-                e = rows @ units
-                np.square(e, out=e)
-                if base is not None:
-                    e += base
-                return obj.value_from_scratch_energies(e)
-
             def bound(units):
                 q = np.einsum("ij,ij->j", units, obj.scatter @ units) + offset
                 return bound_of(q)
-            sweep = _sweep(propose, score, len(rows), None if bound_of is None else bound)
+            sweep = _sweep(propose, _scorer(obj, energies, 1), len(energies),
+                           None if bound_of is None else bound)
             best_v, unit, candidates, evaluated = _best_direction(sweep, strategy, d, rng)
         if unit is None:
             break
@@ -394,29 +391,19 @@ def greedy_knapsack(obj, lat: FiniteLattice, cost, budget) -> SolveReport:
                          meta={"budget": budget, "n_elements": lat.n})
     step = 0
     while True:
-        zero_best, zero_v = None, None
-        dens_best, dens_v, dens_m, dens_d = None, None, None, None
-        for a in lat.admissibles(x):
-            y = lat.join(a, x)
-            cy = cost.of(y)
-            if cy > budget + 1e-12:
-                continue
-            mv = obj.value(lat, y) - current
-            dc = cy - spent
-            if dc <= 1e-12:
-                if zero_v is None or mv > zero_v:
-                    zero_best, zero_v = a, mv
-            else:
-                dens = mv / dc
-                if dens_v is None or dens > dens_v:
-                    dens_best, dens_v, dens_m, dens_d = a, dens, mv, dc
-        if zero_best is not None:
-            a, mv, dc, dens = zero_best, zero_v, 0.0, float("inf")
-        elif dens_best is not None:
-            a, mv, dc, dens = dens_best, dens_m, dens_d, dens_v
-        else:
+        # the affordable steps as (a, a ∨ x, marginal, cost increment)
+        joins = ((a, lat.join(a, x)) for a in lat.admissibles(x))
+        priced = ((a, y, cost.of(y)) for a, y in joins)
+        best, key = first_max(
+            [(a, y, obj.value(lat, y) - current, cy - spent)
+             for a, y, cy in priced if cy <= budget + 1e-12],
+            lambda s: (True, s[2]) if s[3] <= 1e-12 else (False, s[2] / s[3]))
+        if best is None:
             break
-        x = lat.join(a, x)
+        a, x, mv, dc = best
+        free, dens = key
+        if free:
+            dc, dens = 0.0, float("inf")
         current = obj.value(lat, x)
         spent = cost.of(x)
         report.iterations.append({
@@ -427,13 +414,9 @@ def greedy_knapsack(obj, lat: FiniteLattice, cost, budget) -> SolveReport:
         step += 1
     greedy_value, greedy_elem = float(current), int(x)
 
-    single_best, single_v = None, None
-    for a in lat.join_irreducibles():
-        if cost.of(a) > budget + 1e-12:
-            continue
-        v = obj.value(lat, a)
-        if single_v is None or v > single_v:
-            single_best, single_v = a, v
+    single_best, single_v = first_max(
+        [a for a in lat.join_irreducibles() if cost.of(a) <= budget + 1e-12],
+        lambda a: obj.value(lat, a))
     if single_best is not None and single_v > greedy_value:
         report.value, report.element = float(single_v), int(single_best)
         report.meta["winner"] = "singleton"
@@ -462,31 +445,20 @@ def _double_greedy_finite(obj, lat: FiniteLattice) -> SolveReport:
                                "lattice_height": lat.height(lat.top)})
     it = 0
     while a != b:
-        up_best, up_v = None, None
-        for u in lat.admissibles(a):
-            if not lat.leq(u, b):
-                continue
-            v = obj.value(lat, lat.join(u, a))
-            if up_v is None or v > up_v:
-                up_best, up_v = u, v
-
-        hb = lat.height(b)
-        down_best, down_v = None, None
-        for e in lat.descents(a, b):
-            v = obj.value(lat, e)
-            if down_v is None or v > down_v:
-                down_best, down_v = e, v
-
-        alpha = up_v - fa if up_best is not None else None
+        # the admissible steps (u, u ∨ a) that stay below b
+        ups = [(u, lat.join(u, a)) for u in lat.admissibles(a) if lat.leq(u, b)]
+        up, up_v = first_max(ups, lambda s: obj.value(lat, s[1]))
+        down_best, down_v = first_max(lat.descents(a, b), lambda e: obj.value(lat, e))
+        alpha = up_v - fa if up is not None else None
         beta = down_v - fb
         record = {"iteration": it, "alpha": alpha, "beta": beta,
                   "a": int(a), "b": int(b),
-                  "a_height": lat.height(a), "b_height": hb,
+                  "a_height": lat.height(a), "b_height": lat.height(b),
                   "a_leq_b": bool(lat.leq(a, b))}
-        if up_best is not None and alpha >= beta:
-            a, fa = lat.join(up_best, a), up_v
+        if up is not None and alpha >= beta:
+            (u, a), fa = up, up_v
             record["choice"] = "ascend"
-            record["element"] = int(up_best)
+            record["element"] = int(u)
         else:
             b, fb = down_best, down_v
             record["choice"] = "descend"
@@ -504,7 +476,6 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
         # a full grid is affordable only in low ambient dimension
         strategy = Grid() if d <= 4 else RandomRestart()
     rng = np.random.default_rng(seed)
-    rows = obj.feature_rows
     a, b = lat.bottom(), lat.top()
     ea, eb = obj.energies(a), obj.energies(b)
     fa = float(obj.value_from_energies(ea))
@@ -532,22 +503,10 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
             def propose(raw):
                 return gap @ _unitize(raw)
 
-            def score_up(units):
-                e = rows @ units
-                np.square(e, out=e)
-                e += ea[:, None]
-                return obj.value_from_scratch_energies(e)
-
-            def score_down(units):
-                e = rows @ units
-                np.square(e, out=e)
-                np.subtract(eb[:, None], e, out=e)
-                return obj.value_from_scratch_energies(e)
-
-            up_v, up_unit, _, _ = _best_direction(_sweep(propose, score_up, len(rows)),
-                                                  strategy, m, rng, gap)
-            down_v, down_unit, _, _ = _best_direction(_sweep(propose, score_down, len(rows)),
-                                                      strategy, m, rng, gap)
+            up_v, up_unit, _, _ = _best_direction(
+                _sweep(propose, _scorer(obj, ea, 1), len(ea)), strategy, m, rng, gap)
+            down_v, down_unit, _, _ = _best_direction(
+                _sweep(propose, _scorer(obj, eb, -1), len(eb)), strategy, m, rng, gap)
         alpha, beta = up_v - fa, down_v - fb
         record = {"iteration": it, "alpha": alpha, "beta": beta,
                   "a_height": a.dim, "b_height": b.dim, "a_leq_b": True}

@@ -14,7 +14,9 @@ spans deduplicated by projector, order by a containment scan over the
 projector stack, meet by a search for the highest common lower bound;
 and the coherence report with one join and one meet query per pair.
 Finite double greedy as it was written before `FiniteLattice.descents`,
-finding each iteration's descents by scanning every element. Modular
+finding each iteration's descents by scanning every element. Height and
+budgeted greedy as they were written before every finite choice went
+through `solvers.first_max`, each with its own best-so-far loop. Modular
 costs by the chain walk and the exhaustive oracle as one feasibility test
 and one value per element, which the cost vector and the feasibility mask
 replaced. Subspace containment and the cover pairs of a finite lattice,
@@ -34,7 +36,7 @@ from latmax.dictionary import CoherenceReport, EnumeratedLattice, _alignment
 from latmax.lattice import SetLattice
 from latmax.oracle import BruteForceResult
 from latmax.solvers import SolveReport
-from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, vjoin
+from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, VectorLattice, vjoin
 
 
 def subspace_leq(x: Subspace, y: Subspace) -> bool:
@@ -434,6 +436,100 @@ def double_greedy_finite(obj, lat) -> SolveReport:
         it += 1
     report.value, report.element = float(fa), int(a)
     report.meta["iterations_used"] = it
+    return report
+
+
+def greedy_height_finite(obj, lat, k) -> SolveReport:
+    x = lat.bottom
+    current = obj.value(lat, x)
+    report = SolveReport("greedy-height", current, element=x,
+                         meta={"k": k, "strategy": "exhaustive", "n_elements": lat.n})
+    for step in range(k):
+        best, best_v = None, None
+        for a in lat.admissibles(x):
+            y = lat.join(a, x)
+            if lat.height(y) > k:
+                continue
+            v = obj.value(lat, y)
+            if best_v is None or v > best_v:
+                best, best_v = a, v
+        if best is None:
+            break
+        y = lat.join(best, x)
+        report.iterations.append({
+            "step": step, "element": int(best), "label": lat.label(best),
+            "marginal": best_v - current, "value": best_v,
+            "height": lat.height(y),
+        })
+        x, current = y, best_v
+    report.value, report.element = float(current), int(x)
+    return report
+
+
+def greedy_knapsack(obj, lat, cost, budget) -> SolveReport:
+    """Density greedy under a budget, then compare with the best affordable
+    single irreducible. Zero-cost steps rank first by raw gain."""
+    if isinstance(lat, VectorLattice):
+        raise TypeError("budgeted greedy runs on finite lattices")
+    if not np.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
+    if cost.of(lat.bottom) > budget + 1e-12:
+        raise ValueError("even the bottom exceeds the budget")
+    x = lat.bottom
+    current = obj.value(lat, x)
+    spent = cost.of(x)
+    report = SolveReport("greedy-knapsack", current, element=x,
+                         meta={"budget": budget, "n_elements": lat.n})
+    step = 0
+    while True:
+        zero_best, zero_v = None, None
+        dens_best, dens_v, dens_m, dens_d = None, None, None, None
+        for a in lat.admissibles(x):
+            y = lat.join(a, x)
+            cy = cost.of(y)
+            if cy > budget + 1e-12:
+                continue
+            mv = obj.value(lat, y) - current
+            dc = cy - spent
+            if dc <= 1e-12:
+                if zero_v is None or mv > zero_v:
+                    zero_best, zero_v = a, mv
+            else:
+                dens = mv / dc
+                if dens_v is None or dens > dens_v:
+                    dens_best, dens_v, dens_m, dens_d = a, dens, mv, dc
+        if zero_best is not None:
+            a, mv, dc, dens = zero_best, zero_v, 0.0, float("inf")
+        elif dens_best is not None:
+            a, mv, dc, dens = dens_best, dens_m, dens_d, dens_v
+        else:
+            break
+        x = lat.join(a, x)
+        current = obj.value(lat, x)
+        spent = cost.of(x)
+        report.iterations.append({
+            "step": step, "element": int(a), "label": lat.label(a),
+            "marginal": mv, "cost_increment": dc, "density": dens,
+            "value": current, "spent": spent,
+        })
+        step += 1
+    greedy_value, greedy_elem = float(current), int(x)
+
+    single_best, single_v = None, None
+    for a in lat.join_irreducibles():
+        if cost.of(a) > budget + 1e-12:
+            continue
+        v = obj.value(lat, a)
+        if single_v is None or v > single_v:
+            single_best, single_v = a, v
+    if single_best is not None and single_v > greedy_value:
+        report.value, report.element = float(single_v), int(single_best)
+        report.meta["winner"] = "singleton"
+    else:
+        report.value, report.element = greedy_value, greedy_elem
+        report.meta["winner"] = "greedy"
+    report.meta["greedy_value"] = greedy_value
+    report.meta["best_singleton_value"] = single_v
     return report
 
 

@@ -391,6 +391,10 @@ class TestInputErrors:
         ("--graph", {"vertices": np.eye(2).tolist(), "edges": [[0, 1.5, 1]]}, "edges"),
         ("--cost", {"base": "0.5", "increments": {"1": 1.0, "2": 1.0}}, "base"),
         ("--cost", {"base": True, "increments": {"1": 1.0, "2": 1.0}}, "base"),
+        ("--rho", {"kind": "saturating_family", "thresholds": [1.0] * 40, "slope": "0.5"},
+         "slope"),
+        ("--rho", {"kind": "knots", "t": [0, True], "y": [0, 1]}, "t"),
+        ("--rho", {"kind": "capped", "threshold": "1"}, "threshold"),
     ])
     def test_json_input_value_of_the_wrong_type(self, flag, doc, key, tmp_path, table_json,
                                                 data_csv, capsys):
@@ -503,6 +507,30 @@ class TestInputErrors:
                    "--table", str(table_json), "--budget", "1", "--cost", str(path)])
         assert rc == 2
         self._one_error_line(capsys, str(path), key, "finite")
+
+    @pytest.mark.parametrize("lattice", ["dictionary", "vector:3"])
+    @pytest.mark.parametrize("command", [["greedy", "--k", "2"], ["oracle"], ["double-greedy"]])
+    @pytest.mark.parametrize("rho", ["fractional:nan", "fractional:inf", "file"])
+    def test_non_finite_saturating_thresholds(self, lattice, command, rho, tmp_path,
+                                              data_csv, capsys):
+        if lattice == "dictionary":
+            lattice = tmp_path / "lattice.json"
+            lattice.write_text(json.dumps({"kind": "dictionary", "atoms": np.eye(3).tolist()}))
+        if rho == "file":
+            rho = tmp_path / "rho.json"
+            rho.write_text(json.dumps({"kind": "saturating_family",
+                                       "thresholds": [float("nan")] + [1.0] * 39}))
+        rc = main([command[0], "--objective", "gpca", "--lattice", str(lattice),
+                   "--data", str(data_csv), "--rho", str(rho), *command[1:]])
+        assert rc == 2
+        self._one_error_line(capsys, "thresholds", "finite")
+
+    @pytest.mark.parametrize("rho", ["capped:nan", "capped:inf", "capped:1:nan"])
+    def test_non_finite_capped_rho(self, rho, data_csv, capsys):
+        rc = main(["greedy", "--objective", "gpca", "--lattice", "vector:3",
+                   "--data", str(data_csv), "--rho", rho, "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, "finite threshold > 0", "slope in [0, 1]")
 
     @pytest.mark.parametrize("command", ["knapsack", "oracle"])
     @pytest.mark.parametrize("step", ["nan", "inf"])

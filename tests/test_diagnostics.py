@@ -86,7 +86,7 @@ def slow_upward_gap(obj, lat):
                         continue
                     inner = [obj.value(lat, y) - obj.value(lat, y0)
                              for y0 in range(lat.n)
-                             if lat.leq(x, y0) and lat.is_admissible(b, y0)
+                             if lat.leq(x, y0) and b in lat.admissibles(y0)
                              and lat.join(b, y0) == y]
                     if inner:
                         outer.append(min(inner))

@@ -9,11 +9,14 @@ by definition from its elements, Birkhoff's distributivity test against
 the triple scan, and the work counts of enumeration and `diagnose`.
 Finite double greedy and its descents against the scan over every
 element: byte-identical reports, the same candidates, and the objective
-and height calls of one run on a 2^16-element subset lattice.
+and height calls of one run on a 2^16-element subset lattice. Height and
+budgeted greedy against their own best-so-far loops: byte-identical
+reports, ties included.
 Modular costs against the chain walk, bit for bit, and the exhaustive
 oracle against its one-element-at-a-time loop, ties included.
-Greedy's bound-pruned direction search against the full sweep:
-byte-identical reports."""
+Greedy's bound-pruned direction search against the full sweep that
+scoring without each objective's energy bound gives: byte-identical
+reports."""
 
 import json
 from functools import cache
@@ -34,7 +37,6 @@ from latmax.diagnostics import (
 )
 from latmax.dictionary import Dictionary, enumerate_lattice, lattice_coherence_report
 from latmax.lattice import ExplicitLattice, FiniteLattice, SetLattice
-from latmax import solvers
 from latmax.objectives import (
     ConcaveRho,
     GeneralizedPCAObjective,
@@ -164,10 +166,14 @@ def test_step_table_and_queries_match_reference(lat):
         assert lat.admissibles(x) == ref.admissibles(lat, x)
         for a in lat.admissibles(x):
             assert lat.closure_of(a, x) == ref.closure_of(lat, a, x)
-    for a in lat.join_irreducibles():
-        assert lat.is_join_irreducible(a)
-        for x in range(lat.n):
-            assert lat.is_admissible(a, x) == ref.is_admissible(lat, a, x)
+    # closures of steps that are not admissible, and of the bottom, which
+    # is never join-irreducible, are refused
+    for x in range(lat.n):
+        for a in set(lat.join_irreducibles()) - set(lat.admissibles(x)):
+            with pytest.raises(ValueError, match="not admissible"):
+                lat.closure_of(a, x)
+        with pytest.raises(ValueError, match="not join-irreducible"):
+            lat.closure_of(lat.bottom, x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -348,6 +354,31 @@ def test_oracle_matches_the_element_loop(lat, kind, seed, height_cap, budgeted, 
             brute_force_max(obj, lat, **args)
         return
     assert brute_force_max(obj, lat, **args) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices, st.sampled_from(["random", "ties", "cut"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 7))
+def test_greedy_height_matches_reference(lat, kind, seed, k):
+    obj = objective(lat, kind, seed)
+    got = greedy_height(obj, lat, k).to_json_dict()
+    assert json.dumps(got) == json.dumps(ref.greedy_height_finite(obj, lat, k).to_json_dict())
+
+
+@settings(max_examples=150, deadline=None)
+@given(cost_lattices, st.sampled_from(["random", "ties", "cut"]),
+       st.sampled_from(["random", "tied", "zero"]), st.integers(0, 2 ** 32 - 1))
+def test_greedy_knapsack_matches_reference(lat, kind, cost_kind, seed):
+    """Zero increments rank steps by raw gain, tied ones tie densities, and
+    the budget sits exactly at some element's cost."""
+    assume(lat.n > 1 or kind != "cut")
+    rng = np.random.default_rng(seed)
+    cost = random_cost(lat, cost_kind, rng)
+    obj = objective(lat, kind, seed)
+    budget = cost.of(int(rng.integers(lat.n)))
+    got = greedy_knapsack(obj, lat, cost, budget).to_json_dict()
+    want = ref.greedy_knapsack(obj, lat, cost, budget).to_json_dict()
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_budgeted_oracle_work_on_a_set_lattice():
@@ -533,7 +564,8 @@ def test_pruned_direction_search_matches_full_sweep(dim_strategy, n, shape, kind
     d, strategy = dim_strategy
     obj = direction_objective(direction_data(seed, n, d, shape), kind, level, slope, seed)
     pruned = greedy_height(obj, VectorLattice(d), k, strategy=strategy, seed=seed).to_json_dict()
-    with mock.patch.object(solvers, "_energy_bound", lambda obj: None):
+    with mock.patch.object(PCAObjective, "energy_bound", lambda self: None), \
+            mock.patch.object(GeneralizedPCAObjective, "energy_bound", lambda self: None):
         full = greedy_height(obj, VectorLattice(d), k, strategy=strategy, seed=seed).to_json_dict()
     for got, want in zip(pruned["iterations"], full["iterations"]):
         assert 0 < got.pop("evaluated") <= got["candidates"]

@@ -55,10 +55,12 @@ class TestSetLattice:
         lat = SetLattice(4)
         x = 0b0101
         assert lat.admissibles(x) == (0b0010, 0b1000)
-        assert lat.is_admissible(0b0010, x)
-        assert not lat.is_admissible(0b0001, x)
-        with pytest.raises(ValueError):
-            lat.is_admissible(0b0011, x)
+        # one row per item: x with the item added where it is absent, else -1
+        assert lat.steps[:, x].tolist() == [-1, 0b0111, -1, 0b1101]
+        with pytest.raises(ValueError, match="not join-irreducible"):
+            lat.closure_of(0b0011, x)
+        with pytest.raises(ValueError, match="not admissible"):
+            lat.closure_of(0b0001, x)
 
     def test_closure_is_singleton(self):
         lat = SetLattice(4)
@@ -132,12 +134,12 @@ class TestExplicitLattice:
         assert not n5.is_modular()
         assert not n5.is_distributive()
         # joining the atom a to x=b jumps height by two
-        assert n5.is_admissible(a, b)
+        assert a in n5.admissibles(b)
         assert n5.join(b, a) == n5.top
         assert n5.height(n5.top) - n5.height(b) == 2
         assert n5.incrementality() == 2
         # c has a lower element (a) not below b, so c is not admissible to b
-        assert not n5.is_admissible(c, b)
+        assert c not in n5.admissibles(b)
 
     def test_tables_match_order_scan(self, m3, n5):
         for lat in (m3, n5, make_chain(4)):

@@ -85,6 +85,11 @@ class TestConcaveRho:
         assert np.allclose(fam.apply_rows(np.tile(t, (2, 1)))[1],
                            ConcaveRho.capped(2.0, 0.1).apply(t), atol=1e-12)
 
+    @pytest.mark.parametrize("thresholds", [[], [1.0, np.nan], [np.inf], [-1.0], [[1.0]]])
+    def test_saturating_family_refuses_thresholds(self, thresholds):
+        with pytest.raises(ValueError, match="nonempty vector of finite, nonnegative"):
+            SaturatingFamily(thresholds)
+
     def test_saturating_family_json_roundtrip(self):
         fam = SaturatingFamily(np.array([0.5, 1.0, 4.0]), slope=0.25)
         again = rho_from_json_dict(fam.to_json_dict())
@@ -136,7 +141,7 @@ class TestPCA:
         assert vals == {0: 0.0, 2: 30.0}
         atom_lines = (int(lat._elem_of_mask[1 << i]) for i in range(2))
         e2 = next(e for e in atom_lines if abs(lat.payload(e).basis[1, 0]) > 0.9)
-        assert lat.is_admissible(e2, lat.bottom) and not lat.is_admissible(e2, lat.top)
+        assert e2 in lat.admissibles(lat.bottom) and e2 not in lat.admissibles(lat.top)
         gain = obj.value(lat, lat.join(e2, lat.bottom)) - obj.value(lat, lat.bottom)
         assert abs(gain - 20.0) < 1e-12
 

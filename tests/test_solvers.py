@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latmax
 from latmax.dictionary import Dictionary, enumerate_lattice
 from latmax.lattice import SetLattice
 from latmax.objectives import (
@@ -364,3 +369,34 @@ class TestStrategyParsing:
                                  strategy=strategy_from_name(f"random:64:{s}")).to_json_dict()
                    for s in (1, 2)]
         assert reports[0] == reports[1]
+
+
+def test_sweep_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A grid greedy in R^3 and a random double greedy in R^16, one process
+    under one OpenBLAS thread and one under two, write identical reports:
+    each column is scored on a full 8-column tile (_score_columns), in the
+    ascent and the descent alike."""
+    rng = np.random.default_rng(0)
+    for d in (3, 16):
+        rows = rng.normal(size=(300, d)) / np.sqrt(1.0 + np.arange(d))
+        np.savetxt(tmp_path / f"data{d}.csv", rows, delimiter=",", fmt="%.17g")
+    src = str(Path(latmax.__file__).parents[1])
+    script = ("import json, sys\nfrom latmax.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        calls = [
+            ["greedy", "--objective", "gpca", "--lattice", "vector:3",
+             "--data", str(tmp_path / "data3.csv"), "--k", "2", "--strategy", "grid:0.05",
+             "--report", str(out / "greedy.json")],
+            ["double-greedy", "--objective", "gpca", "--lattice", "vector:16",
+             "--data", str(tmp_path / "data16.csv"), "--strategy", "random:2048",
+             "--seed", "3", "--report", str(out / "double_greedy.json")],
+        ]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                       env=env, check=True, capture_output=True)
+        reports.append([(out / name).read_text() for name in ("greedy.json", "double_greedy.json")])
+    assert reports[0] == reports[1]
