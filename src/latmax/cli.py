@@ -69,7 +69,7 @@ from .solvers import (
     spec_fields,
     strategy_from_name,
 )
-from .subspaces import VectorLattice, load_vectors_csv
+from .subspaces import VectorLattice, json_integer, json_numbers, load_vectors_csv
 
 _GAP_MEASURES = {
     "strong": measure_strong_gap,
@@ -96,50 +96,19 @@ def _read_json(path, load):
         raise ValueError(f"{what} {path}: {exc}") from None
 
 
-def _converted(doc, key, convert, *default):
-    """``convert(doc[key])``, or of ``default`` when one is given and the key
-    is missing; a value that ``convert`` refuses is reported with its key."""
-    value = doc.get(key, *default) if default else doc[key]
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise TypeError(f"{key!r}: {exc}") from None
-
-
-def _integer(value):
-    """``value`` if it is a JSON integer; ``int`` would truncate 2.5."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"must be an integer, got {value!r}")
-    return value
-
-
-def _number(value):
-    """``value`` if it is a JSON number; ``float`` would take "0.5" and true."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"must be a number, got {value!r}")
-    return value
-
-
-def _numbers(doc, key, container):
-    """``doc[key]``, checked to be a JSON list (``container`` is ``list``) or
-    object (``dict``) whose values are all numbers."""
-    value = doc[key]
-    items = value.values() if isinstance(value, dict) else value
-    if not (isinstance(value, container)
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)):
-        shape = "a list" if container is list else "an object"
-        raise TypeError(f"{key!r} must be {shape} of numbers")
-    return value
-
-
 def _lattice_from_json(doc):
     kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind == "dictionary":
         return enumerate_lattice(Dictionary.from_json_dict(doc))
     if kind == "explicit":
-        edges = [tuple(e) for e in doc["cover_edges"]]
-        return ExplicitLattice.from_cover_edges(_converted(doc, "n", _integer), edges,
-                                                labels=doc.get("labels"))
+        edges = json_numbers(doc["cover_edges"], "cover_edges", 2)
+        if edges and len(edges[0]) != 2:
+            raise TypeError("'cover_edges': expected [lower, upper] pairs")
+        return ExplicitLattice.from_cover_edges(
+            json_integer(doc["n"], "n"),
+            [(json_integer(lo, "cover_edges"), json_integer(hi, "cover_edges"))
+             for lo, hi in edges],
+            labels=doc.get("labels"))
     raise ValueError(f"unknown lattice kind {kind!r}")
 
 
@@ -162,20 +131,7 @@ def _load_rho(arg, data):
         return ConcaveRho.capped(*map(float, fields))
     if kind == "fractional":
         return fractional_energy_family(data, *map(float, fields))
-    return _read_json(arg, _rho_from_json)
-
-
-def _rho_from_json(doc):
-    """``rho_from_json_dict`` on a document whose numbers, where present,
-    are JSON numbers and whose knot and threshold lists hold only those."""
-    if isinstance(doc, dict):
-        for key in ("threshold", "slope"):
-            if key in doc:
-                _converted(doc, key, _number)
-        for key in ("t", "y", "thresholds"):
-            if key in doc:
-                _numbers(doc, key, list)
-    return rho_from_json_dict(doc)
+    return _read_json(arg, rho_from_json_dict)
 
 
 def load_objective(args, lat):
@@ -187,7 +143,8 @@ def load_objective(args, lat):
             raise ValueError("--objective table requires --table")
         if not isinstance(lat, FiniteLattice):
             raise ValueError("--objective table needs a finite lattice")
-        obj = _read_json(args.table, lambda doc: TableObjective(_numbers(doc, "values", list)))
+        obj = _read_json(args.table,
+                         lambda doc: TableObjective(json_numbers(doc["values"], "values", 1)))
         if obj.values.size != lat.n:
             raise ValueError(f"--table holds {obj.values.size} values, lattice has {lat.n} elements")
         return obj
@@ -228,16 +185,31 @@ def _load_cost(arg, lat):
     kind, fields = spec_fields(arg, "uniform[:STEP]")
     if kind == "uniform":
         return ModularCost.uniform(lat, *map(float, fields))
-    return _read_json(arg, lambda doc: ModularCost(lat, _numbers(doc, "increments", dict),
-                                                   base=_converted(doc, "base", _number, 0.0)))
+    return _read_json(arg, lambda doc: _cost_from_json(doc, lat))
+
+
+def _cost_from_json(doc, lat):
+    increments = doc["increments"]
+    if not isinstance(increments, dict):
+        raise TypeError("'increments': expected an object of numbers")
+    return ModularCost(lat, {a: json_numbers(c, "increments") for a, c in increments.items()},
+                       base=json_numbers(doc.get("base", 0.0), "base"))
+
+
+def _write_report(doc: dict, args):
+    """Write ``doc`` to the --report file, if one is given, making its
+    directory; return the path, or None."""
+    if not args.report:
+        return None
+    path = Path(args.report)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return path
 
 
 def _emit(doc: dict, args, summary: str) -> None:
     print(summary)
-    if getattr(args, "report", None):
-        path = Path(args.report)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+    if path := _write_report(doc, args):
         print(f"report written to {path}")
 
 
@@ -314,8 +286,7 @@ def cmd_diagnose(args) -> int:
             failures.append("coherence bound violated")
     doc["ok"] = not failures
     print(json.dumps(doc, indent=2))
-    if getattr(args, "report", None):
-        Path(args.report).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_report(doc, args)
     for line in failures:
         print(f"FAIL: {line}", file=sys.stderr)
     return 1 if failures else 0

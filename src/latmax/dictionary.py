@@ -22,6 +22,7 @@ from latmax.subspaces import (
     RANK_TOL,
     Direction,
     Subspace,
+    json_numbers,
     vjoin,
 )
 
@@ -61,12 +62,9 @@ class Dictionary:
     def direction(self, i: int) -> Direction:
         return Direction(self.vectors[i])
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "dictionary", "atoms": self.vectors.tolist(), "tolerance": RANK_TOL}
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Dictionary":
-        return cls(np.asarray(doc["atoms"], dtype=float))
+        return cls(np.asarray(json_numbers(doc["atoms"], "atoms", 2), dtype=float))
 
 
 class EnumeratedLattice(FiniteLattice):

@@ -56,16 +56,6 @@ class MixtureSpec:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "MixtureSpec":
-        return cls(
-            q=float(doc["q"]),
-            sigma1=tuple(float(s) for s in doc["sigma1"]),
-            sigma2=tuple(float(s) for s in doc["sigma2"]),
-            n_samples=int(doc["n_samples"]),
-            seed=int(doc["seed"]),
-        )
-
 
 def generate_mixture(spec: MixtureSpec) -> np.ndarray:
     """Draw samples deterministically from the mixture.

@@ -50,9 +50,6 @@ class FiniteLattice:
     def join(self, i: int, j: int) -> int:
         return int(self._join_table[i, j])
 
-    def meet(self, i: int, j: int) -> int:
-        return int(self._meet_table[i, j])
-
     def height(self, i: int) -> int:
         return int(self.heights[i])
 
@@ -186,9 +183,6 @@ class SetLattice(FiniteLattice):
     def join(self, i, j):
         return i | j
 
-    def meet(self, i, j):
-        return i & j
-
     def height(self, i):
         return int(i).bit_count()
 
@@ -245,8 +239,8 @@ class SetLattice(FiniteLattice):
 
 
 class ExplicitLattice(FiniteLattice):
-    """Lattice given by an explicit order matrix; joins and meets are
-    computed by uniqueness scans, raising NotALatticeError otherwise."""
+    """Lattice given by an explicit order matrix; joins and meets are read
+    off one linear extension, raising NotALatticeError where none is least."""
 
     def __init__(self, leq: np.ndarray, labels: list[str] | None = None):
         # a copy: the caller's matrix must not change the order under the tables
@@ -279,27 +273,28 @@ class ExplicitLattice(FiniteLattice):
         for e in np.argsort(leq.sum(axis=0), kind="stable"):
             below = np.flatnonzero(strict[:, e])
             self.heights[e] = 1 + self.heights[below].max() if below.size else 0
-        self._join_table = self._bound_table(upper=True)
-        self._meet_table = self._bound_table(upper=False)
+        # increasing height, ids breaking ties, is a linear extension; by
+        # decreasing height it is one of the dual order, whose joins are meets
+        self._join_table = self._bound_table(leq, np.argsort(self.heights, kind="stable"),
+                                             "upper")
+        self._meet_table = self._bound_table(leq.T.copy(),
+                                             np.argsort(-self.heights, kind="stable"), "lower")
 
-    def _bound_table(self, upper: bool) -> np.ndarray:
-        leq = self._leq
-        n = self.n
+    @staticmethod
+    def _bound_table(leq, order, kind) -> np.ndarray:
+        """Least upper bounds under ``leq``, one row at a time: in the linear
+        extension ``order`` the least upper bound of i and j is their first
+        common upper bound, when that lies below all the others."""
+        n = len(leq)
         t = np.empty((n, n), dtype=np.int64)
         for i in range(n):
-            for j in range(i, n):
-                if upper:
-                    cand = np.flatnonzero(leq[i] & leq[j])
-                    best = cand[np.argmin(self.heights[cand])] if i != j else i
-                    ok = leq[best, cand].all()
-                else:
-                    cand = np.flatnonzero(leq[:, i] & leq[:, j])
-                    best = cand[np.argmax(self.heights[cand])] if i != j else i
-                    ok = leq[cand, best].all()
-                if not cand.size or not ok:
-                    kind = "upper" if upper else "lower"
-                    raise NotALatticeError(f"no unique least {kind} bound for ({i},{j})")
-                t[i, j] = t[j, i] = best
+            ups = leq[i] & leq  # ups[j, k]: k is above both i and j
+            first = order[ups[:, order].argmax(axis=1)]
+            bad = (ups & ~leq[first]).any(axis=1)
+            if bad.any():
+                # the first failing pair: any j < i failed in row j already
+                raise NotALatticeError(f"no unique least {kind} bound for ({i},{bad.argmax()})")
+            t[i] = first
         return t
 
     @classmethod

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from latmax.lattice import SCAN_CAP, FiniteLattice, SetLattice
-from latmax.subspaces import Subspace
+from latmax.subspaces import Subspace, json_integer, json_numbers
 
 
 class ConcaveRho:
@@ -65,10 +65,6 @@ class ConcaveRho:
         return cls([0.0, threshold, 2 * threshold],
                    [0.0, threshold, threshold + slope * threshold])
 
-    def to_json_dict(self) -> dict:
-        ts, ys = self.knots
-        return {"kind": "knots", "t": ts.tolist(), "y": ys.tolist()}
-
 
 def rho_from_json_dict(doc) -> "ConcaveRho | SaturatingFamily":
     if isinstance(doc, str):
@@ -76,12 +72,13 @@ def rho_from_json_dict(doc) -> "ConcaveRho | SaturatingFamily":
     kind = doc["kind"]
     if kind == "identity":
         return ConcaveRho.identity()
+    slope = json_numbers(doc.get("slope", 0.1), "slope")
     if kind == "capped":
-        return ConcaveRho.capped(doc["threshold"], doc.get("slope", 0.1))
+        return ConcaveRho.capped(json_numbers(doc["threshold"], "threshold"), slope)
     if kind == "knots":
-        return ConcaveRho(doc["t"], doc["y"])
+        return ConcaveRho(json_numbers(doc["t"], "t", 1), json_numbers(doc["y"], "y", 1))
     if kind == "saturating_family":
-        return SaturatingFamily(doc["thresholds"], float(doc.get("slope", 0.1)))
+        return SaturatingFamily(json_numbers(doc["thresholds"], "thresholds", 1), slope)
     raise ValueError(f"unknown reshaping kind {kind!r}")
 
 
@@ -111,15 +108,14 @@ class SaturatingFamily:
     def dprime0(self) -> float:
         return self.slope if (self.thresholds == 0).all() else 1.0
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "saturating_family",
-                "thresholds": self.thresholds.tolist(), "slope": self.slope}
-
 
 def fractional_energy_family(data, fraction=0.01, slope=0.1) -> SaturatingFamily:
     """Thresholds set to a fraction of each datum's squared norm."""
     norms = (np.asarray(data, dtype=float) ** 2).sum(axis=1)
-    return SaturatingFamily(fraction * norms, slope)
+    # a product past the float range is an infinite threshold, which the
+    # family refuses with its own message
+    with np.errstate(over="ignore"):
+        return SaturatingFamily(fraction * norms, slope)
 
 
 class PCAObjective:
@@ -201,16 +197,12 @@ class GeneralizedPCAObjective(PCAObjective):
         and thresholds t; n*rho(q/n) on n rows for one concave rho (Jensen)."""
         rho = self.rho
         if isinstance(rho, SaturatingFamily):
-            s, total = rho.slope, float(rho.thresholds.sum())
+            # finite thresholds can sum past the float range: then min(q, inf) = q
+            with np.errstate(over="ignore"):
+                s, total = rho.slope, float(rho.thresholds.sum())
             return lambda q: s * q + (1.0 - s) * np.minimum(q, total)
         n = self.data.shape[0]
         return lambda q: n * rho.apply(q / n)
-
-
-def _is_edge(e) -> bool:
-    """A JSON edge: [source, target, weight] with integer vertex ids."""
-    return (isinstance(e, list) and len(e) == 3 and all(type(i) is int for i in e[:2])
-            and isinstance(e[2], (int, float)) and not isinstance(e[2], bool))
 
 
 @dataclass(frozen=True)
@@ -239,30 +231,15 @@ class WeightedDigraph:
     def n_vertices(self):
         return self.vertices.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {"vertices": self.vertices.tolist(),
-                "edges": [[i, j, c] for i, j, c in self.edges]}
-
     @classmethod
     def from_json_dict(cls, doc) -> "WeightedDigraph":
-        try:
-            vertices = np.asarray(doc["vertices"], dtype=float)
-        except (TypeError, ValueError):
-            raise TypeError("'vertices' must be a list of equally long lists of numbers") from None
-        edges = doc["edges"]
-        if not (isinstance(edges, list) and all(_is_edge(e) for e in edges)):
-            raise TypeError("'edges' must be a list of [source, target, weight] "
-                            "with integer vertex ids and a number weight")
-        return cls(vertices, tuple(tuple(e) for e in edges))
-
-    @classmethod
-    def complete_classical(cls, weights) -> "WeightedDigraph":
-        """Axis-vector vertices with the given (n, n) weight matrix."""
-        w = np.asarray(weights, dtype=float)
-        n = w.shape[0]
-        edges = [(i, j, w[i, j]) for i in range(n) for j in range(n)
-                 if i != j and w[i, j] != 0.0]
-        return cls(np.eye(n), tuple(edges))
+        vertices = json_numbers(doc["vertices"], "vertices", 2)
+        edges = json_numbers(doc["edges"], "edges", 2)
+        if edges and len(edges[0]) != 3:
+            raise TypeError("'edges': expected [source, target, weight] triples")
+        return cls(np.asarray(vertices, dtype=float),
+                   tuple((json_integer(i, "edges"), json_integer(j, "edges"), w)
+                         for i, j, w in edges))
 
 
 class QuantumCutObjective:

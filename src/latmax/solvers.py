@@ -391,21 +391,19 @@ def greedy_knapsack(obj, lat: FiniteLattice, cost, budget) -> SolveReport:
                          meta={"budget": budget, "n_elements": lat.n})
     step = 0
     while True:
-        # the affordable steps as (a, a ∨ x, marginal, cost increment)
+        # the affordable steps as (a, a ∨ x, value, cost, marginal, cost increment)
         joins = ((a, lat.join(a, x)) for a in lat.admissibles(x))
         priced = ((a, y, cost.of(y)) for a, y in joins)
+        valued = ((a, y, obj.value(lat, y), cy) for a, y, cy in priced if cy <= budget + 1e-12)
         best, key = first_max(
-            [(a, y, obj.value(lat, y) - current, cy - spent)
-             for a, y, cy in priced if cy <= budget + 1e-12],
-            lambda s: (True, s[2]) if s[3] <= 1e-12 else (False, s[2] / s[3]))
+            [(a, y, v, cy, v - current, cy - spent) for a, y, v, cy in valued],
+            lambda s: (True, s[4]) if s[5] <= 1e-12 else (False, s[4] / s[5]))
         if best is None:
             break
-        a, x, mv, dc = best
+        a, x, current, spent, mv, dc = best
         free, dens = key
         if free:
             dc, dens = 0.0, float("inf")
-        current = obj.value(lat, x)
-        spent = cost.of(x)
         report.iterations.append({
             "step": step, "element": int(a), "label": lat.label(a),
             "marginal": mv, "cost_increment": dc, "density": dens,

@@ -5,9 +5,14 @@ stacked nullspace system [P_X - I; P_Y - I] v = 0 by SVD. Tolerances:
 RANK_TOL for keep/drop decisions relative to the largest singular value,
 ORTH_TOL for orthonormality and containment residues, EQ_TOL for
 projector equality. All objects are immutable value types.
+
+The input checks that every reader shares live here too: the data CSV
+loader, and the JSON integer and number tests of the JSON readers.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -69,13 +74,6 @@ class Subspace:
 
     def to_json_dict(self) -> dict:
         return {"ambient_dim": self.ambient_dim, "basis": self.basis.T.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Subspace":
-        rows = np.asarray(doc["basis"], dtype=float)
-        if rows.size == 0:
-            return cls.bottom(int(doc["ambient_dim"]))
-        return cls(rows.T)
 
     def __repr__(self):
         return f"Subspace(d={self.ambient_dim}, dim={self.dim})"
@@ -178,3 +176,31 @@ def load_vectors_csv(path) -> np.ndarray:
         return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise ValueError(f"data file {path}: {exc}") from None
+
+
+def json_integer(value, key):
+    """``value`` if it is a JSON integer; ``int`` would truncate 2.5 and take
+    true. Any other value is refused with ``key``, the name it was read under."""
+    if type(value) is not int:
+        raise TypeError(f"{key!r}: expected an integer, got {value!r}")
+    return value
+
+
+def json_numbers(value, key, depth=0):
+    """``value`` if it is a JSON number (``depth`` 0), a list of numbers (1) or
+    a list of equally long lists of numbers (2); ``float`` would take "0.5"
+    and true. Any other value is refused with ``key``."""
+    def numbers(items):
+        return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+    if depth == 0:
+        ok = numbers([value])
+    elif depth == 1:
+        ok = isinstance(value, list) and numbers(value)
+    else:
+        ok = (isinstance(value, list) and all(isinstance(row, list) for row in value)
+              and len(set(map(len, value))) <= 1 and numbers(chain.from_iterable(value)))
+    if not ok:
+        shape = ("a number", "a list of numbers", "a list of equally long lists of numbers")
+        raise TypeError(f"{key!r}: expected {shape[depth]}"
+                        + (f", got {value!r}" if depth == 0 else ""))
+    return value

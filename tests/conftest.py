@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latmax.lattice import ExplicitLattice
+from latmax.objectives import WeightedDigraph
 
 
 # the whole-lattice arrays a SetLattice builds on first read
@@ -17,6 +18,15 @@ def make_chain(length):
     """Total order 0 < 1 < ... < length."""
     n = length + 1
     return ExplicitLattice.from_cover_edges(n, [(i, i + 1) for i in range(length)])
+
+
+def classical_graph(weights):
+    """Axis-vector vertices and an edge i -> j for every nonzero off-diagonal
+    weights[i, j]: the quantum cut of a vertex set is then its directed cut."""
+    w = np.asarray(weights, dtype=float)
+    n = w.shape[0]
+    edges = [(i, j, w[i, j]) for i in range(n) for j in range(n) if i != j and w[i, j] != 0.0]
+    return WeightedDigraph(np.eye(n), tuple(edges))
 
 
 def make_m3():

@@ -19,7 +19,9 @@ budgeted greedy as they were written before every finite choice went
 through `solvers.first_max`, each with its own best-so-far loop. Modular
 costs by the chain walk and the exhaustive oracle as one feasibility test
 and one value per element, which the cost vector and the feasibility mask
-replaced. Subspace containment and the cover pairs of a finite lattice,
+replaced. An explicit lattice's join and meet tables by a scan of the
+common bounds of every pair, which one linear extension replaced.
+Subspace containment and the cover pairs of a finite lattice,
 which the library does not need.
 The differential tests run them as oracles against the table-driven
 code, which must agree bit for bit, witnesses included.
@@ -33,7 +35,7 @@ import numpy as np
 
 from latmax.diagnostics import GapReport
 from latmax.dictionary import CoherenceReport, EnumeratedLattice, _alignment
-from latmax.lattice import SetLattice
+from latmax.lattice import NotALatticeError, SetLattice
 from latmax.oracle import BruteForceResult
 from latmax.solvers import SolveReport
 from latmax.subspaces import EQ_TOL, ORTH_TOL, Subspace, VectorLattice, vjoin
@@ -82,6 +84,40 @@ def bound_tables(leq):
             downs = np.flatnonzero(leq[:, i] & leq[:, j])
             (mt[i, j],) = [d for d in downs if leq[downs, d].all()]
     return jt, mt
+
+
+def explicit_bound_tables(n, edges):
+    """The join and meet tables of the order that ``edges`` cover, by
+    ExplicitLattice's scan over every pair as it was before the tables came
+    from one linear extension; NotALatticeError, with the same message, for
+    the first pair without a least bound."""
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in edges:
+        leq[lo, hi] = True
+    for k in range(n):
+        leq |= leq[:, k, None] & leq[k]
+    h = heights(leq)
+    return _explicit_bound_table(leq, h, upper=True), _explicit_bound_table(leq, h, upper=False)
+
+
+def _explicit_bound_table(leq, h, upper):
+    n = len(leq)
+    t = np.empty((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            if upper:
+                cand = np.flatnonzero(leq[i] & leq[j])
+                best = cand[np.argmin(h[cand])] if i != j else i
+                ok = leq[best, cand].all()
+            else:
+                cand = np.flatnonzero(leq[:, i] & leq[:, j])
+                best = cand[np.argmax(h[cand])] if i != j else i
+                ok = leq[cand, best].all()
+            if not cand.size or not ok:
+                kind = "upper" if upper else "lower"
+                raise NotALatticeError(f"no unique least {kind} bound for ({i},{j})")
+            t[i, j] = t[j, i] = best
+    return t
 
 
 def heights(leq):
@@ -371,7 +407,7 @@ def lattice_coherence_report(lat) -> CoherenceReport:
     for x in range(lat.n):
         best, best_y = None, None
         for y in range(lat.n):
-            if lat.join(x, y) != lat.top or lat.meet(x, y) != lat.bottom:
+            if lat.join(x, y) != lat.top or lat.meet_table()[x, y] != lat.bottom:
                 continue
             a = _alignment(lat.subspaces[x], lat.subspaces[y])
             if best is None or a < best:

@@ -173,6 +173,24 @@ def test_one_parser_serves_consecutive_calls(table_json, data_csv, capsys):
     assert build_parser() is build_parser()
 
 
+@pytest.mark.parametrize("command", [["greedy", "--k", "1"], ["knapsack", "--budget", "1"],
+                                     ["double-greedy"], ["oracle"], ["diagnose"]])
+def test_report_into_a_missing_directory(command, table_json, tmp_path, capsys):
+    # every subcommand makes the report's directory; stdout is unchanged
+    argv = [command[0], "--objective", "table", "--lattice", "set:2",
+            "--table", str(table_json), *command[1:]]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    report = tmp_path / "new" / "dir" / "report.json"
+    assert main([*argv, "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    if command[0] == "diagnose":
+        assert out == plain and json.loads(out) == json.loads(report.read_text())
+    else:
+        assert out == plain + f"report written to {report}\n"
+        assert json.loads(report.read_text())["value"] == float(plain.split()[2])
+
+
 class TestUsageErrors:
     def test_missing_data_flag(self, capsys):
         rc = main(["greedy", "--objective", "pca", "--lattice", "vector:3",
@@ -395,6 +413,12 @@ class TestInputErrors:
          "slope"),
         ("--rho", {"kind": "knots", "t": [0, True], "y": [0, 1]}, "t"),
         ("--rho", {"kind": "capped", "threshold": "1"}, "threshold"),
+        *[("--lattice", {"kind": "explicit", "n": 4, "cover_edges": [[0, hi], [1, 2], [2, 3]]},
+           "cover_edges") for hi in (1.5, 1.0, True)],
+        *[(flag, {"kind": "dictionary", "atoms": atoms}, "atoms")
+          for flag in ("--lattice", "--check-coherence")
+          for atoms in ([["1", 0], [0, 1]], [[1, 0], [0, True]])],
+        ("--graph", {"vertices": [["1", 0], [0, 1]], "edges": [[0, 1, 1.0]]}, "vertices"),
     ])
     def test_json_input_value_of_the_wrong_type(self, flag, doc, key, tmp_path, table_json,
                                                 data_csv, capsys):
@@ -539,6 +563,22 @@ class TestInputErrors:
                    "--table", str(table_json), "--budget", "1", "--cost", f"uniform:{step}"])
         assert rc == 2
         self._one_error_line(capsys, "increments", "finite")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows", ["unit", "gaussian"])
+    def test_fractional_rho_past_the_float_range(self, rows, tmp_path, data_csv, capsys):
+        # 1e308 times a squared norm above 1.8 overflows, and so does the sum
+        # of the finite thresholds of unit rows; numpy warns of neither
+        if rows == "unit":
+            data_csv = tmp_path / "eye.csv"
+            np.savetxt(data_csv, np.eye(3), delimiter=",")
+        rc = main(["greedy", "--objective", "gpca", "--lattice", "vector:3",
+                   "--data", str(data_csv), "--rho", "fractional:1e308", "--k", "2"])
+        if rows == "unit":
+            assert rc == 0 and capsys.readouterr().err == ""
+        else:
+            assert rc == 2
+            self._one_error_line(capsys, "thresholds", "finite")
 
     @pytest.mark.parametrize("command", ["greedy", "oracle"])
     def test_negative_height_cap(self, command, table_json, capsys):

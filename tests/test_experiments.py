@@ -29,8 +29,9 @@ class TestMixtureSpec:
             MixtureSpec(sigma1=(1.0, 0.1), sigma2=(0.1, 1.0, 0.3))
 
     def test_json_round_trip(self):
-        spec = MixtureSpec(seed=7)
-        assert MixtureSpec.from_json_dict(spec.to_json_dict()) == spec
+        assert json.loads(json.dumps(MixtureSpec(seed=7).to_json_dict())) == {
+            "q": 0.95, "sigma1": [1.0, 0.1, 0.3], "sigma2": [0.1, 1.0, 0.3],
+            "n_samples": 1000, "seed": 7}
 
 
 class TestGenerateMixture:

@@ -19,7 +19,7 @@ from latmax.objectives import (
 )
 from latmax.subspaces import Subspace
 
-from conftest import make_chain, make_n5, random_orthonormal
+from conftest import classical_graph, make_chain, make_n5, random_orthonormal
 from test_dictionary import tilted_pair
 
 
@@ -69,9 +69,11 @@ class TestConcaveRho:
 
     def test_json_roundtrip(self):
         capped = ConcaveRho.capped(2.0, slope=0.3)
-        again = rho_from_json_dict(capped.to_json_dict())
+        knots = rho_from_json_dict({"kind": "knots", "t": [0, 2, 4], "y": [0.0, 2.0, 2.6]})
+        again = rho_from_json_dict({"kind": "capped", "threshold": 2, "slope": 0.3})
         t = np.linspace(0, 10, 50)
-        assert np.allclose(capped.apply(t), again.apply(t))
+        assert np.array_equal(capped.apply(t), again.apply(t))
+        assert np.allclose(capped.apply(t), knots.apply(t))
         assert rho_from_json_dict("identity").apply(np.array([3.0]))[0] == 3.0
 
     def test_saturating_family_rows(self):
@@ -91,11 +93,13 @@ class TestConcaveRho:
             SaturatingFamily(thresholds)
 
     def test_saturating_family_json_roundtrip(self):
-        fam = SaturatingFamily(np.array([0.5, 1.0, 4.0]), slope=0.25)
-        again = rho_from_json_dict(fam.to_json_dict())
+        again = rho_from_json_dict({"kind": "saturating_family",
+                                    "thresholds": [0.5, 1, 4.0], "slope": 0.25})
         assert isinstance(again, SaturatingFamily)
-        assert np.array_equal(again.thresholds, fam.thresholds)
-        assert again.slope == fam.slope
+        assert np.array_equal(again.thresholds, [0.5, 1.0, 4.0])
+        assert again.slope == 0.25
+        default = rho_from_json_dict({"kind": "saturating_family", "thresholds": [1.0]})
+        assert default.slope == SaturatingFamily(np.ones(1)).slope
 
     def test_fractional_family_thresholds(self):
         data = np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -217,15 +221,18 @@ class TestQuantumCut:
 
     def test_graph_json_and_validation(self):
         g = self.graph3()
-        again = WeightedDigraph.from_json_dict(g.to_json_dict())
+        again = WeightedDigraph.from_json_dict({
+            "vertices": [[1, 0, 0], [0, 1.0, 0], [0, 0, 1]],
+            "edges": [[0, 1, 2], [1, 2, 1.0], [2, 0, 0.5]]})
         assert again.edges == g.edges
-        assert np.allclose(again.vertices, g.vertices)
+        assert np.array_equal(again.vertices, g.vertices)
         with pytest.raises(ValueError):
             WeightedDigraph(np.eye(2), ((0, 5, 1.0),))
 
     def test_complete_classical_builder(self):
-        w = np.array([[0.0, 3.0], [1.0, 0.0]])
-        g = WeightedDigraph.complete_classical(w)
+        g = WeightedDigraph.from_json_dict({"vertices": [[1, 0], [0, 1]],
+                                            "edges": [[0, 1, 3.0], [1, 0, 1.0]]})
+        assert g.edges == classical_graph([[0.0, 3.0], [1.0, 0.0]]).edges
         obj = QuantumCutObjective(g)
         assert obj.value_of_mask(0b01) == 3.0
         assert obj.value_of_mask(0b10) == 1.0

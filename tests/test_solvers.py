@@ -28,7 +28,7 @@ from latmax.solvers import (
 )
 from latmax.subspaces import VectorLattice
 
-from conftest import make_n5, ratio_holds
+from conftest import classical_graph, make_n5, ratio_holds
 
 
 class TableObjective:
@@ -305,7 +305,7 @@ class TestDoubleGreedyFinite:
             n = int(rng.integers(3, 6))
             w = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
             np.fill_diagonal(w, 0.0)
-            g = WeightedDigraph.complete_classical(w)
+            g = classical_graph(w)
             obj = QuantumCutObjective(g)
             lat = SetLattice(n)
             rep = double_greedy(obj, lat)

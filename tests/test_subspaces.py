@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -52,11 +54,11 @@ class TestSubspaceBasics:
             Direction([0.0, 0.0])
 
     def test_json_roundtrip(self, rng):
-        sp = Subspace(random_orthonormal(rng, 5, 2))
-        back = Subspace.from_json_dict(sp.to_json_dict())
-        assert np.abs(sp.projector() - back.projector()).max() <= EQ_TOL
-        empty = Subspace.from_json_dict(Subspace.bottom(3).to_json_dict())
-        assert empty.dim == 0 and empty.ambient_dim == 3
+        # a report's basis: one row per basis vector
+        basis = random_orthonormal(rng, 5, 2)
+        doc = json.loads(json.dumps(Subspace(basis).to_json_dict()))
+        assert doc["ambient_dim"] == 5 and np.array_equal(doc["basis"], basis.T)
+        assert Subspace.bottom(3).to_json_dict() == {"ambient_dim": 3, "basis": []}
 
 
 class TestJoin:
