@@ -104,10 +104,12 @@ def _lattice_from_json(doc):
         edges = json_numbers(doc["cover_edges"], "cover_edges", 2)
         if edges and len(edges[0]) != 2:
             raise TypeError("'cover_edges': expected [lower, upper] pairs")
+        n = json_integer(doc["n"], "n")
+        if n < 0:
+            raise ValueError(f"'n': expected a nonnegative number of elements, got {n}")
         return ExplicitLattice.from_cover_edges(
-            json_integer(doc["n"], "n"),
-            [(json_integer(lo, "cover_edges"), json_integer(hi, "cover_edges"))
-             for lo, hi in edges],
+            n, [(json_integer(lo, "cover_edges"), json_integer(hi, "cover_edges"))
+                for lo, hi in edges],
             labels=doc.get("labels"))
     raise ValueError(f"unknown lattice kind {kind!r}")
 
@@ -192,7 +194,12 @@ def _cost_from_json(doc, lat):
     increments = doc["increments"]
     if not isinstance(increments, dict):
         raise TypeError("'increments': expected an object of numbers")
-    return ModularCost(lat, {a: json_numbers(c, "increments") for a, c in increments.items()},
+    # an id's decimal form only: int() would also take "01", " 1" and "+1"
+    bad = [a for a in increments if not (a.isdecimal() and str(int(a)) == a)]
+    if bad:
+        raise TypeError(f"'increments': keys must be element ids, got {bad[0]!r}")
+    return ModularCost(lat, {int(a): json_numbers(c, "increments")
+                             for a, c in increments.items()},
                        base=json_numbers(doc.get("base", 0.0), "base"))
 
 
@@ -382,12 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_limits(args) -> None:
-    """A height cap is nonnegative and a budget finite."""
-    k, budget = getattr(args, "k", None), getattr(args, "budget", None)
+    """A height cap is nonnegative, and a budget and a gap limit finite."""
+    k = getattr(args, "k", None)
     if k is not None and k < 0:
         raise ValueError(f"--k must be nonnegative, got {k}")
-    if budget is not None and not math.isfinite(budget):
-        raise ValueError(f"--budget must be finite, got {budget}")
+    for flag in ("budget", "max_delta"):
+        limit = getattr(args, flag, None)
+        if limit is not None and not math.isfinite(limit):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite, got {limit}")
 
 
 def main(argv=None) -> int:

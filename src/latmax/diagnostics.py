@@ -9,7 +9,7 @@ lattices only admit sampled lower bounds, flagged as such.
 from __future__ import annotations
 
 import weakref
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -315,9 +315,7 @@ class CoherenceBoundCheck:
     holds: bool | None = None
 
     def to_json_dict(self) -> dict:
-        return {"mu_vectors": self.mu_vectors, "ambient_dim": self.ambient_dim,
-                "applicable": self.applicable, "bound": self.bound,
-                "mu_lattice": self.mu_lattice, "holds": self.holds}
+        return asdict(self)
 
 
 def check_coherence_bound(dictionary: Dictionary) -> CoherenceBoundCheck:
@@ -345,13 +343,9 @@ class SaturationGapCheck:
     bound: float
     measured_delta: float
     holds: bool
-    report: GapReport = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
-        return {"mu_lattice": self.mu_lattice,
-                "slope_at_zero": self.slope_at_zero,
-                "total_energy": self.total_energy, "bound": self.bound,
-                "measured_delta": self.measured_delta, "holds": self.holds}
+        return asdict(self)
 
 
 def check_saturation_gap_bound(obj, lat: EnumeratedLattice, *,
@@ -368,4 +362,4 @@ def check_saturation_gap_bound(obj, lat: EnumeratedLattice, *,
     bound = 3.0 * mu * slope0 * total / (1.0 - mu ** 2)
     rep = downward if downward is not None else measure_downward_gap(obj, lat)
     return SaturationGapCheck(mu, slope0, total, bound, rep.measured_delta,
-                              bool(rep.measured_delta <= bound + _BOUND_TOL), rep)
+                              bool(rep.measured_delta <= bound + _BOUND_TOL))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +48,7 @@ class MixtureSpec:
         return len(self.sigma1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "sigma1": list(self.sigma1),
-            "sigma2": list(self.sigma2),
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def generate_mixture(spec: MixtureSpec) -> np.ndarray:

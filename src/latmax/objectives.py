@@ -118,23 +118,31 @@ def fractional_energy_family(data, fraction=0.01, slope=0.1) -> SaturatingFamily
         return SaturatingFamily(fraction * norms, slope)
 
 
-class PCAObjective:
-    """Total captured energy: sum of squared projections of the data rows."""
+class _EnergyObjective:
+    """An objective whose value on a subspace is a function of the
+    projection energies of its feature rows (value_from_energies)."""
 
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=float)
-        if self.data.ndim != 2 or not np.isfinite(self.data).all():
-            raise ValueError("data must be a finite (n_rows, d) array")
-        self.total_energy = float((self.data ** 2).sum())
+    feature_rows: np.ndarray  # (n_rows, d)
 
     @property
     def ambient_dim(self):
-        return self.data.shape[1]
+        return self.feature_rows.shape[1]
 
-    @property
-    def feature_rows(self):
-        """Rows whose projection energies determine the value."""
-        return self.data
+    def energies(self, sub: Subspace):
+        return ((self.feature_rows @ sub.basis) ** 2).sum(axis=1)
+
+    def value_of_subspace(self, sub: Subspace) -> float:
+        return float(self.value_from_energies(self.energies(sub)))
+
+
+class PCAObjective(_EnergyObjective):
+    """Total captured energy: sum of squared projections of the data rows."""
+
+    def __init__(self, data):
+        self.data = self.feature_rows = np.asarray(data, dtype=float)
+        if self.data.ndim != 2 or not np.isfinite(self.data).all():
+            raise ValueError("data must be a finite (n_rows, d) array")
+        self.total_energy = float((self.data ** 2).sum())
 
     @cached_property
     def scatter(self):
@@ -142,18 +150,12 @@ class PCAObjective:
         vector u is u^T scatter u."""
         return self.data.T @ self.data
 
-    def energies(self, sub: Subspace):
-        return ((self.data @ sub.basis) ** 2).sum(axis=1)
-
     def value_from_energies(self, energies):
         return np.asarray(energies, dtype=float).sum(axis=0)
 
     def value_from_scratch_energies(self, energies):
         """Same result as value_from_energies; may overwrite the buffer."""
         return self.value_from_energies(energies)
-
-    def value_of_subspace(self, sub: Subspace) -> float:
-        return float(self.value_from_energies(self.energies(sub)))
 
     def value(self, lat: FiniteLattice, e) -> float:
         return self.value_of_subspace(_subspace_payload(lat, e))
@@ -242,28 +244,18 @@ class WeightedDigraph:
                          for i, j, w in edges))
 
 
-class QuantumCutObjective:
+class QuantumCutObjective(_EnergyObjective):
     """Weighted sum over edges of source energy inside the subspace times
     target energy in its orthogonal complement. With axis-vector vertices
     and subset payloads this is the classical directed cut value."""
 
     def __init__(self, graph: WeightedDigraph):
         self.graph = graph
+        self.feature_rows = graph.vertices
         self.vertex_norms = (graph.vertices ** 2).sum(axis=1)
         self._src = np.array([e[0] for e in graph.edges], dtype=int)
         self._dst = np.array([e[1] for e in graph.edges], dtype=int)
         self._w = np.array([e[2] for e in graph.edges], dtype=float)
-
-    @property
-    def ambient_dim(self):
-        return self.graph.vertices.shape[1]
-
-    @property
-    def feature_rows(self):
-        return self.graph.vertices
-
-    def energies(self, sub: Subspace):
-        return ((self.graph.vertices @ sub.basis) ** 2).sum(axis=1)
 
     def value_from_energies(self, energies):
         p = np.asarray(energies, dtype=float)
@@ -280,9 +272,6 @@ class QuantumCutObjective:
     def energy_bound(self):
         """None: no bound on the cut from the captured energy alone."""
         return None
-
-    def value_of_subspace(self, sub: Subspace) -> float:
-        return float(self.value_from_energies(self.energies(sub)))
 
     def value_of_mask(self, mask: int) -> float:
         inside = np.array([bool(mask >> i & 1) for i in range(self.graph.n_vertices)])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -17,8 +17,7 @@ class BruteForceResult:
     feasible_count: int
 
     def to_json_dict(self) -> dict:
-        return {"element": self.element, "value": self.value,
-                "feasible_count": self.feasible_count}
+        return asdict(self)
 
 
 def brute_force_max(obj, lat: FiniteLattice, *, height_cap=None, cost=None,

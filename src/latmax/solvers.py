@@ -24,7 +24,7 @@ not depend on which candidates are scored together (_score_columns).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -122,9 +122,7 @@ class SolveReport:
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {"algorithm": self.algorithm, "value": self.value,
-                "element": self.element, "basis": self.basis,
-                "iterations": self.iterations, "meta": self.meta}
+        return asdict(self)
 
 
 def _grid_axes(width, dim):
@@ -136,36 +134,6 @@ def _grid_axes(width, dim):
 def _grid_points(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh])
-
-
-def _best_direction(sweep, strategy, dim, rng, gap=None):
-    """Maximize a direction score over the unit sphere of R^dim.
-
-    sweep maps a (dim, m) matrix of raw candidates to (best_score,
-    best_unit, candidates, evaluated), the last two counting the unit
-    columns proposed and scored exactly. When the raw candidates are
-    coordinates in the orthonormal columns of gap, best_unit is gap times
-    them. Returns the same four, with the counts summed over every sweep
-    made.
-    """
-    if isinstance(strategy, RandomRestart):
-        return sweep(rng.normal(size=(dim, strategy.samples)))
-
-    if not isinstance(strategy, Grid):
-        raise ValueError(f"strategy {strategy!r} cannot propose directions")
-    width = strategy.width
-    best_s, best_u, candidates, evaluated = sweep(_grid_points(_grid_axes(width, dim)))
-    for _ in range(strategy.refine_rounds):
-        if best_u is None:
-            break
-        width /= 5.0
-        center = best_u if gap is None else gap.T @ best_u
-        axes = [np.linspace(c - 5 * width, c + 5 * width, 11) for c in center]
-        s, u, c, e = sweep(_grid_points(axes))
-        candidates, evaluated = candidates + c, evaluated + e
-        if u is not None and s > best_s:
-            best_s, best_u = s, u
-    return best_s, best_u, candidates, evaluated
 
 
 # candidates scored exactly before pruning; the best of them is the lower
@@ -186,35 +154,58 @@ def _slice_width(n_rows):
     return min(_GATHER, max(8, fit // 8 * 8))
 
 
-def _sweep(propose, score, n_rows, bound=None):
-    """Best candidate direction. propose maps raw columns to unit columns,
-    score maps unit columns to their scores on n_rows data rows, and bound,
-    if given, to upper bounds on them; the first maximum wins. Only the
-    candidates whose bound reaches the best of the _PROBE highest-bound ones
-    are scored, so without a bound every candidate is."""
-    width = _slice_width(n_rows)
+def _directions(strategy, dim, rng):
+    """Raw candidate columns for one direction search in R^dim: the
+    strategy's standard normal draws, or its grid points."""
+    if isinstance(strategy, RandomRestart):
+        return rng.normal(size=(dim, strategy.samples))
+    if not isinstance(strategy, Grid):
+        raise ValueError(f"strategy {strategy!r} cannot propose directions")
+    return _grid_points(_grid_axes(strategy.width, dim))
 
-    def sweep(raw):
+
+def _best_direction(raw, strategy, propose, score, n_rows, bound=None, gap=None):
+    """Best unit direction among the raw candidate columns (_directions),
+    then, for a refined Grid, among finer grids around the best so far.
+
+    propose maps raw columns to unit columns, score maps unit columns to
+    their scores on n_rows data rows, and bound, if given, to upper bounds
+    on them; the first maximum wins. Only the candidates whose bound
+    reaches the best of the _PROBE highest-bound ones are scored, so
+    without a bound every candidate is. When the raw columns are
+    coordinates in the orthonormal columns of gap, the units are gap times
+    them. Returns (best_score, best_unit, candidates, evaluated), the last
+    two counting the unit columns proposed and scored exactly.
+    """
+    width = _slice_width(n_rows)
+    rounds = strategy.refine_rounds if isinstance(strategy, Grid) else 0
+    step = strategy.width if rounds else None
+    best_s, best_u, candidates, evaluated = -np.inf, None, 0, 0
+    for r in range(rounds + 1):
+        if r:
+            if best_u is None:
+                break
+            step /= 5.0
+            center = best_u if gap is None else gap.T @ best_u
+            raw = _grid_points([np.linspace(c - 5 * step, c + 5 * step, 11) for c in center])
         units = propose(raw)
         m = units.shape[1]
         if m == 0:
-            return -np.inf, None, 0, 0
+            continue
         upper = np.full(m, np.inf) if bound is None else bound(units)
         scores, done = np.empty(m), np.zeros(m, dtype=bool)
-
-        def fill(idx):
-            todo = idx[~done[idx]]
-            scores[todo] = _score_columns(score, units, todo, width)
-            done[todo] = True
-
         top = max(m - _PROBE, 0)
-        fill(np.sort(np.argpartition(upper, top)[top:]))
-        low = scores[done].max()
+        probe = np.sort(np.argpartition(upper, top)[top:])
+        scores[probe], done[probe] = _score_columns(score, units, probe, width), True
+        low = scores[probe].max()
         keep = np.flatnonzero(upper >= low - 1e-9 * max(1.0, abs(low)))
-        fill(keep)
+        rest = keep[~done[keep]]
+        scores[rest], done[rest] = _score_columns(score, units, rest, width), True
         best = keep[int(np.argmax(scores[keep]))]
-        return float(scores[best]), units[:, best].copy(), m, int(done.sum())
-    return sweep
+        candidates, evaluated = candidates + m, evaluated + int(done.sum())
+        if not r or scores[best] > best_s:
+            best_s, best_u = float(scores[best]), units[:, best].copy()
+    return best_s, best_u, candidates, evaluated
 
 
 def _score_columns(score, units, idx, width):
@@ -247,10 +238,6 @@ def _unitize(raw, against=None):
     return w[:, keep] / nrm[keep]
 
 
-def _is_plain_pca(obj) -> bool:
-    return type(obj) is PCAObjective
-
-
 def _scorer(obj, base, sign):
     """Scores of unit columns: the objective's value on the energies base
     plus (sign 1) or minus (sign -1) each column's squared projections of
@@ -270,17 +257,13 @@ def _scorer(obj, base, sign):
 
 def _residual_scatter_top(obj, base: Subspace):
     """Best ascent direction of a quadratic energy sum: top eigenvector of
-    the scatter matrix restricted to the orthogonal complement of base."""
-    d = obj.ambient_dim
-    s = obj.scatter
-    q = np.eye(d) - base.projector()
-    w, v = np.linalg.eigh(q @ s @ q)
-    gain, vec = float(w[-1]), v[:, -1]
+    the scatter matrix restricted to the orthogonal complement of base, or
+    None when that complement is empty."""
+    q = np.eye(obj.ambient_dim) - base.projector()
+    vec = np.linalg.eigh(q @ obj.scatter @ q)[1][:, -1]
     resid = vec - base.projector() @ vec
     n = np.linalg.norm(resid)
-    if n < 1e-9:
-        return 0.0, None
-    return gain, resid / n
+    return None if n < 1e-9 else resid / n
 
 
 def first_max(items, key):
@@ -329,11 +312,11 @@ def _greedy_height_finite(obj, lat: FiniteLattice, k) -> SolveReport:
 def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveReport:
     d = lat.ambient_dim
     if strategy is None:
-        if _is_plain_pca(obj):
+        if type(obj) is PCAObjective:
             strategy = ExactEigen()
         else:
             strategy = Grid() if d <= 4 else RandomRestart()
-    if isinstance(strategy, ExactEigen) and not _is_plain_pca(obj):
+    if isinstance(strategy, ExactEigen) and type(obj) is not PCAObjective:
         raise ValueError("the eigenvector step needs a plain quadratic objective")
     rng = np.random.default_rng(seed)
     bound_of = obj.energy_bound()
@@ -345,8 +328,7 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
                                "ambient_dim": d, "seed": seed})
     for step in range(min(k, d)):
         if isinstance(strategy, ExactEigen):
-            gain, unit = _residual_scatter_top(obj, x)
-            best_v = current + gain if unit is not None else None
+            unit = _residual_scatter_top(obj, x)
         else:
             offset = float(energies.sum())
 
@@ -356,9 +338,10 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
             def bound(units):
                 q = np.einsum("ij,ij->j", units, obj.scatter @ units) + offset
                 return bound_of(q)
-            sweep = _sweep(propose, _scorer(obj, energies, 1), len(energies),
-                           None if bound_of is None else bound)
-            best_v, unit, candidates, evaluated = _best_direction(sweep, strategy, d, rng)
+            _, unit, candidates, evaluated = _best_direction(
+                _directions(strategy, d, rng), strategy, propose,
+                _scorer(obj, energies, 1), len(energies),
+                None if bound_of is None else bound)
         if unit is None:
             break
         x = vjoin(x, Direction(unit))
@@ -473,6 +456,8 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
     if strategy is None:
         # a full grid is affordable only in low ambient dimension
         strategy = Grid() if d <= 4 else RandomRestart()
+    if isinstance(strategy, ExactEigen) and type(obj) is not PCAObjective:
+        raise ValueError("the eigenvector step needs a plain quadratic objective")
     rng = np.random.default_rng(seed)
     a, b = lat.bottom(), lat.top()
     ea, eb = obj.energies(a), obj.energies(b)
@@ -484,27 +469,24 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
                                "lattice_height": d})
     it = 0
     while a.dim < b.dim:
-        # orthonormal basis of b restricted to the complement of a;
-        # both moves draw their direction from this gap
+        # orthonormal basis of b restricted to the complement of a; both
+        # moves search one draw of directions in this gap, so the ascent's
+        # and the descent's best are maxima over the same set
         gap = Subspace.from_spanning(_unitize(b.basis, against=a)).basis
-        exact = isinstance(strategy, ExactEigen)
-        if exact:
-            if not _is_plain_pca(obj):
-                raise ValueError("the eigenvector step needs a plain quadratic objective")
-            s = gap.T @ obj.scatter @ gap
-            w, v = np.linalg.eigh(s)
+        if isinstance(strategy, ExactEigen):
+            w, v = np.linalg.eigh(gap.T @ obj.scatter @ gap)
             up_unit, up_v = gap @ v[:, -1], fa + float(w[-1])
             down_unit, down_v = gap @ v[:, 0], fb - float(w[0])
         else:
-            m = gap.shape[1]
+            raw = _directions(strategy, gap.shape[1], rng)
 
             def propose(raw):
                 return gap @ _unitize(raw)
 
             up_v, up_unit, _, _ = _best_direction(
-                _sweep(propose, _scorer(obj, ea, 1), len(ea)), strategy, m, rng, gap)
+                raw, strategy, propose, _scorer(obj, ea, 1), len(ea), gap=gap)
             down_v, down_unit, _, _ = _best_direction(
-                _sweep(propose, _scorer(obj, eb, -1), len(eb)), strategy, m, rng, gap)
+                raw, strategy, propose, _scorer(obj, eb, -1), len(eb), gap=gap)
         alpha, beta = up_v - fa, down_v - fb
         record = {"iteration": it, "alpha": alpha, "beta": beta,
                   "a_height": a.dim, "b_height": b.dim, "a_leq_b": True}

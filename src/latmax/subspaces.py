@@ -12,6 +12,7 @@ loader, and the JSON integer and number tests of the JSON readers.
 
 from __future__ import annotations
 
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -171,11 +172,18 @@ class VectorLattice:
 
 
 def load_vectors_csv(path) -> np.ndarray:
-    """Read one vector per row from a comma-separated file."""
+    """Read one vector per row from a comma-separated file with at least
+    one row."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # numpy warns about a file without rows; it is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise ValueError(f"data file {path}: {exc}") from None
+    if rows.shape[0] == 0:
+        raise ValueError(f"data file {path} holds no rows")
+    return rows
 
 
 def json_integer(value, key):

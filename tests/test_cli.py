@@ -419,6 +419,9 @@ class TestInputErrors:
           for flag in ("--lattice", "--check-coherence")
           for atoms in ([["1", 0], [0, 1]], [[1, 0], [0, True]])],
         ("--graph", {"vertices": [["1", 0], [0, 1]], "edges": [[0, 1, 1.0]]}, "vertices"),
+        *[("--cost", {"increments": {key: 1.0, "2": 1.0}}, "increments")
+          for key in ("1.0", "x", "01", " 1")],
+        ("--lattice", {"kind": "explicit", "n": -1, "cover_edges": []}, "n"),
     ])
     def test_json_input_value_of_the_wrong_type(self, flag, doc, key, tmp_path, table_json,
                                                 data_csv, capsys):
@@ -517,6 +520,24 @@ class TestInputErrors:
                    "--table", str(table_json), "--budget", budget, "--cost", "uniform"])
         assert rc == 2
         self._one_error_line(capsys, "--budget", "finite")
+
+    @pytest.mark.parametrize("max_delta", ["nan", "inf"])
+    def test_non_finite_max_delta(self, max_delta, table_json, capsys):
+        # NaN fails every comparison, so it would pass every gap unchecked
+        rc = main(["diagnose", "--objective", "table", "--lattice", "set:2",
+                   "--table", str(table_json), "--max-delta", max_delta])
+        assert rc == 2
+        self._one_error_line(capsys, "--max-delta", "finite")
+
+    @pytest.mark.parametrize("lattice", ["vector:1", "vector:3"])
+    @pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank-lines"])
+    def test_data_file_without_rows(self, lattice, text, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        rc = main(["greedy", "--objective", "pca", "--lattice", lattice,
+                   "--data", str(path), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, str(path), "no rows")
 
     @pytest.mark.parametrize("command", ["knapsack", "oracle"])
     @pytest.mark.parametrize("cost, key", [

@@ -11,10 +11,12 @@ import latmax
 from latmax.dictionary import Dictionary, enumerate_lattice
 from latmax.lattice import SetLattice
 from latmax.objectives import (
+    GeneralizedPCAObjective,
     ModularCost,
     PCAObjective,
     QuantumCutObjective,
     WeightedDigraph,
+    fractional_energy_family,
 )
 from latmax.oracle import BruteForceResult, brute_force_max
 from latmax.solvers import (
@@ -350,6 +352,29 @@ class TestDoubleGreedyVector:
             basis = np.array(rep.basis["basis"]).T
             if basis.size:
                 assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() < 1e-8
+
+    def test_double_greedy_moves_share_one_draw(self):
+        # with one random direction per draw, alpha + beta >= 0 holds only
+        # if the ascent and the descent search the same draw
+        rng = np.random.default_rng(10)
+        runs = []
+        for seed in range(200):
+            edges = tuple((i, j, float(rng.uniform(0.2, 1.5)))
+                          for i in range(5) for j in range(5)
+                          if i != j and rng.random() < 0.5) or ((0, 1, 1.0),)
+            graph = WeightedDigraph(0.7 * rng.normal(size=(5, 3)), edges)
+            runs.append((QuantumCutObjective(graph), VectorLattice(3), seed))
+        for seed in range(100):
+            data = rng.normal(size=(50, 4))
+            runs.append((PCAObjective(data), VectorLattice(4), seed))
+            runs.append((GeneralizedPCAObjective(data, fractional_energy_family(data)),
+                         VectorLattice(4), seed))
+        sums = [it["alpha"] + it["beta"]
+                for obj, lat, seed in runs
+                for it in double_greedy(obj, lat, strategy=RandomRestart(1),
+                                        seed=seed).iterations]
+        assert len(sums) == 1400
+        assert min(sums) >= -1e-9
 
 
 class TestStrategyParsing:
