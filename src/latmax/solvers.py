@@ -154,13 +154,56 @@ def _slice_width(n_rows):
     return min(_GATHER, max(8, fit // 8 * 8))
 
 
+# the most candidate columns one direction search may build; the default
+# grid at d = 4 has 41 x 81^3 = 21.8M
+_MAX_COLUMNS = 1 << 25
+
+
+def _search_columns(strategy, dim):
+    """Candidate columns one direction search in R^dim builds, counted
+    without building any: the random draws, or the grid's points plus
+    11^dim per refinement round. A grid axis holds
+    ceil((stop - start) / width) points, as np.arange counts them in
+    _grid_axes; a width too small for that ratio to be finite counts as
+    infinitely many."""
+    if isinstance(strategy, RandomRestart):
+        return strategy.samples
+    if not isinstance(strategy, Grid):
+        raise ValueError(f"strategy {strategy!r} cannot propose directions")
+    w = strategy.width
+    first, rest = (((1.0 + w / 2) - start) / w for start in (0.0, -1.0))
+    if math.isinf(rest):
+        return math.inf
+    return math.ceil(first) * math.ceil(rest) ** (dim - 1) + strategy.refine_rounds * 11 ** dim
+
+
+def _subspace_setup(obj, d, strategy, seed, *, eigen_default):
+    """The strategy, rng and report meta both subspace solvers start from.
+    Without a strategy, the eigenvector step when eigen_default and obj is
+    plain PCA, else a grid in low ambient dimension and random directions
+    above it. Refuses the eigenvector step on other objectives, and a
+    search that would build more than _MAX_COLUMNS columns."""
+    if strategy is None:
+        if eigen_default and type(obj) is PCAObjective:
+            strategy = ExactEigen()
+        else:
+            # a full grid is affordable only in low ambient dimension
+            strategy = Grid() if d <= 4 else RandomRestart()
+    if isinstance(strategy, ExactEigen):
+        if type(obj) is not PCAObjective:
+            raise ValueError("the eigenvector step needs a plain quadratic objective")
+    elif (columns := _search_columns(strategy, d)) > _MAX_COLUMNS:
+        raise ValueError(f"{describe_strategy(strategy)} in R^{d} would build {columns:,} "
+                         f"candidate directions, above the cap of {_MAX_COLUMNS:,}")
+    meta = {"strategy": describe_strategy(strategy), "ambient_dim": d, "seed": seed}
+    return strategy, np.random.default_rng(seed), meta
+
+
 def _directions(strategy, dim, rng):
     """Raw candidate columns for one direction search in R^dim: the
     strategy's standard normal draws, or its grid points."""
     if isinstance(strategy, RandomRestart):
         return rng.normal(size=(dim, strategy.samples))
-    if not isinstance(strategy, Grid):
-        raise ValueError(f"strategy {strategy!r} cannot propose directions")
     return _grid_points(_grid_axes(strategy.width, dim))
 
 
@@ -255,6 +298,13 @@ def _scorer(obj, base, sign):
     return score
 
 
+def _valued(obj, sub: Subspace):
+    """sub, the projection energies of obj's feature rows on it, and obj's
+    value of those energies."""
+    energies = obj.energies(sub)
+    return sub, energies, float(obj.value_from_energies(energies))
+
+
 def _residual_scatter_top(obj, base: Subspace):
     """Best ascent direction of a quadratic energy sum: top eigenvector of
     the scatter matrix restricted to the orthogonal complement of base, or
@@ -311,21 +361,10 @@ def _greedy_height_finite(obj, lat: FiniteLattice, k) -> SolveReport:
 
 def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveReport:
     d = lat.ambient_dim
-    if strategy is None:
-        if type(obj) is PCAObjective:
-            strategy = ExactEigen()
-        else:
-            strategy = Grid() if d <= 4 else RandomRestart()
-    if isinstance(strategy, ExactEigen) and type(obj) is not PCAObjective:
-        raise ValueError("the eigenvector step needs a plain quadratic objective")
-    rng = np.random.default_rng(seed)
+    strategy, rng, meta = _subspace_setup(obj, d, strategy, seed, eigen_default=True)
     bound_of = obj.energy_bound()
-    x = lat.bottom()
-    energies = obj.energies(x)
-    current = float(obj.value_from_energies(energies))
-    report = SolveReport("greedy-height", current,
-                         meta={"k": k, "strategy": describe_strategy(strategy),
-                               "ambient_dim": d, "seed": seed})
+    x, energies, current = _valued(obj, lat.bottom())
+    report = SolveReport("greedy-height", current, meta={"k": k, **meta})
     for step in range(min(k, d)):
         if isinstance(strategy, ExactEigen):
             unit = _residual_scatter_top(obj, x)
@@ -344,9 +383,7 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
                 None if bound_of is None else bound)
         if unit is None:
             break
-        x = vjoin(x, Direction(unit))
-        energies = obj.energies(x)
-        value = float(obj.value_from_energies(energies))
+        x, energies, value = _valued(obj, vjoin(x, Direction(unit)))
         record = {"step": step, "direction": unit.tolist(),
                   "marginal": value - current, "value": value, "height": x.dim}
         if not isinstance(strategy, ExactEigen):
@@ -453,20 +490,10 @@ def _double_greedy_finite(obj, lat: FiniteLattice) -> SolveReport:
 
 def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveReport:
     d = lat.ambient_dim
-    if strategy is None:
-        # a full grid is affordable only in low ambient dimension
-        strategy = Grid() if d <= 4 else RandomRestart()
-    if isinstance(strategy, ExactEigen) and type(obj) is not PCAObjective:
-        raise ValueError("the eigenvector step needs a plain quadratic objective")
-    rng = np.random.default_rng(seed)
-    a, b = lat.bottom(), lat.top()
-    ea, eb = obj.energies(a), obj.energies(b)
-    fa = float(obj.value_from_energies(ea))
-    fb = float(obj.value_from_energies(eb))
-    report = SolveReport("double-greedy", fa,
-                         meta={"strategy": describe_strategy(strategy),
-                               "ambient_dim": d, "seed": seed,
-                               "lattice_height": d})
+    strategy, rng, meta = _subspace_setup(obj, d, strategy, seed, eigen_default=False)
+    a, ea, fa = _valued(obj, lat.bottom())
+    b, eb, fb = _valued(obj, lat.top())
+    report = SolveReport("double-greedy", fa, meta={**meta, "lattice_height": d})
     it = 0
     while a.dim < b.dim:
         # orthonormal basis of b restricted to the complement of a; both
@@ -491,15 +518,11 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
         record = {"iteration": it, "alpha": alpha, "beta": beta,
                   "a_height": a.dim, "b_height": b.dim, "a_leq_b": True}
         if alpha >= beta:
-            a = vjoin(a, Direction(up_unit))
-            ea = obj.energies(a)
-            fa = float(obj.value_from_energies(ea))
+            a, ea, fa = _valued(obj, vjoin(a, Direction(up_unit)))
             record["choice"] = "ascend"
             record["direction"] = up_unit.tolist()
         else:
-            b = codim1_descend(b, Direction(down_unit))
-            eb = obj.energies(b)
-            fb = float(obj.value_from_energies(eb))
+            b, eb, fb = _valued(obj, codim1_descend(b, Direction(down_unit)))
             record["choice"] = "descend"
             record["direction"] = down_unit.tolist()
         report.iterations.append(record)

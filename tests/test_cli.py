@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from latmax import solvers
 from latmax.cli import main
 from latmax.objectives import QuantumCutObjective, WeightedDigraph
 from latmax.solvers import double_greedy
@@ -505,6 +506,38 @@ class TestInputErrors:
                    *(["--k", "1"] if command == "greedy" else [])])
         assert rc == 2
         self._one_error_line(capsys, words)
+
+    @pytest.mark.parametrize("strategy, words", [
+        ("grid:0.001", "4,008,005,001"), ("grid:1e-9", "candidate directions"),
+        ("grid:1e-320", "inf candidate directions"),
+        ("grid:0.5:100000", "133,100,075"), ("random:100000000", "100,000,000"),
+    ])
+    @pytest.mark.parametrize("command", ["greedy", "double-greedy"])
+    def test_direction_search_too_large_to_build(self, command, strategy, words, data_csv,
+                                                  capsys, monkeypatch):
+        # the columns are counted: no grid is built and no direction drawn
+        class NoDraws:
+            def normal(self, *args, **kwargs):
+                raise AssertionError("drew the candidate directions")
+
+        def no_grid(*args):
+            raise AssertionError("built the candidate grid")
+        monkeypatch.setattr(solvers, "_grid_axes", no_grid)
+        monkeypatch.setattr(solvers, "_grid_points", no_grid)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
+        rc = main([command, "--objective", "gpca", "--lattice", "vector:3",
+                   "--data", str(data_csv), "--strategy", strategy,
+                   *(["--k", "1"] if command == "greedy" else [])])
+        assert rc == 2
+        self._one_error_line(capsys, words, "cap of 33,554,432")
+
+    @pytest.mark.parametrize("command", ["greedy", "double-greedy"])
+    def test_eigenvector_step_needs_plain_pca(self, command, data_csv, capsys):
+        rc = main([command, "--objective", "gpca", "--lattice", "vector:3",
+                   "--data", str(data_csv), "--strategy", "exact-eigen",
+                   *(["--k", "1"] if command == "greedy" else [])])
+        assert rc == 2
+        self._one_error_line(capsys, "eigenvector step")
 
     @pytest.mark.parametrize("width", ["0", "-0.1"])
     def test_bad_experiment_width(self, width, tmp_path, capsys):

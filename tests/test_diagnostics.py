@@ -11,7 +11,6 @@ from latmax.diagnostics import (
     measure_strong_gap,
     measure_upward_gap,
     reevaluate_witness,
-    sample_strong_gap_vector,
 )
 from latmax.dictionary import Dictionary, enumerate_lattice
 from latmax.lattice import SetLattice, SizeLimitError
@@ -262,17 +261,3 @@ class TestSaturationGapBound:
         with pytest.raises(ValueError):
             check_saturation_gap_bound(obj, lat)
 
-
-class TestSampledVectorGap:
-    def test_two_line_data_shows_positive_lower_bound(self):
-        obj = PCAObjective(np.array([[0.0, 1.0]]))
-        rep = sample_strong_gap_vector(obj, 2, trials=300, seed=1)
-        assert not rep.exhaustive
-        assert rep.measured_delta > 0.1
-        assert rep.witness is not None
-
-    def test_reports_zero_floor(self, rng):
-        # a single direction datum in high dimension rarely violates at random
-        obj = PCAObjective(np.zeros((1, 3)))
-        rep = sample_strong_gap_vector(obj, 3, trials=50, seed=0)
-        assert rep.measured_delta == 0.0

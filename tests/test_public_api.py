@@ -23,8 +23,6 @@ NO_CALLER_YET = {
     "vmeet": "the subspace meet; the benchmark's tracer patches it by name",
     "check_order_consistency": "the knapsack value bound holds only for "
                                "order-consistent costs and is to record it",
-    "sample_strong_gap_vector": "the only gap estimate on the subspace lattice, "
-                                "for a value bound there",
     "check_prop1_equivalence": "acceptance 06 reproduces Proposition 1 with it",
 }
 

@@ -20,9 +20,13 @@ from latmax.objectives import (
 )
 from latmax.oracle import BruteForceResult, brute_force_max
 from latmax.solvers import (
+    _MAX_COLUMNS,
     ExactEigen,
     Grid,
     RandomRestart,
+    _grid_axes,
+    _grid_points,
+    _search_columns,
     double_greedy,
     greedy_height,
     greedy_knapsack,
@@ -375,6 +379,23 @@ class TestDoubleGreedyVector:
                                         seed=seed).iterations]
         assert len(sums) == 1400
         assert min(sums) >= -1e-9
+
+
+class TestSearchSize:
+    @pytest.mark.parametrize("width", [2.0, 0.5, 1 / 3, 0.3, 0.1, 0.07, 0.05])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_counts_the_columns_the_grid_builds(self, width, dim):
+        built = _grid_points(_grid_axes(width, dim)).shape[1]
+        assert _search_columns(Grid(width), dim) == built
+        assert _search_columns(Grid(width, refine_rounds=2), dim) == built + 2 * 11 ** dim
+
+    def test_cap_admits_every_search_in_use(self):
+        # the default grid at d = 4, acceptance 02's grid, and the benchmark's
+        # grid and random draws
+        assert _search_columns(Grid(), 4) == 41 * 81 ** 3 <= _MAX_COLUMNS
+        assert _search_columns(Grid(0.025), 3) == 41 * 81 * 81
+        assert _search_columns(Grid(0.05), 3) == 35_301
+        assert _search_columns(RandomRestart(8192), 16) == 8192
 
 
 class TestStrategyParsing:
