@@ -22,7 +22,7 @@ from latmax.dictionary import (
     enumerate_lattice,
 )
 from latmax.lattice import FiniteLattice, SetLattice, check_scan_cap
-from latmax.objectives import TableObjective
+from latmax.objectives import PCAObjective, TableObjective
 # not called here; the benchmark's tracer patches vjoin on this module by name
 from latmax.subspaces import vjoin  # noqa: F401
 
@@ -328,6 +328,12 @@ def check_saturation_gap_bound(obj, lat: EnumeratedLattice, *,
     downward DR-submodular with gap at most
     3 * mu * slope0 * total_energy / (1 - mu^2). ``downward``, the
     downward report of the same objective and lattice, skips the scan."""
+    if not isinstance(lat, EnumeratedLattice):
+        raise ValueError(f"the saturation bound needs a dictionary span lattice, "
+                         f"not a {type(lat).__name__}")
+    if not isinstance(obj, PCAObjective):
+        raise ValueError(f"the saturation bound needs a pca or gpca objective, "
+                         f"not a {type(obj).__name__}")
     if not lat.is_modular():
         raise ValueError("the bound needs a modular span lattice")
     mu = _dictionary.lattice_coherence_report(lat).value

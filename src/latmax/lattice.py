@@ -228,9 +228,6 @@ class SetLattice(FiniteLattice):
             return []
         return [b ^ (1 << k) for k in reversed(range(self.n_items)) if (b & ~a) >> k & 1]
 
-    def incrementality(self):
-        return 1
-
     @cached_property
     def steps(self):
         ids = np.arange(self.n)
@@ -300,6 +297,11 @@ class ExplicitLattice(FiniteLattice):
     @classmethod
     def from_cover_edges(cls, n: int, edges: list[tuple[int, int]],
                          labels: list[str] | None = None) -> "ExplicitLattice":
+        # the order matrix and the bound tables are n x n, and no exhaustive
+        # scan takes a lattice above the cap
+        if n > SCAN_CAP:
+            raise SizeLimitError(f"an explicit lattice of {n} elements exceeds the "
+                                 f"scan cap {SCAN_CAP}")
         leq = np.eye(n, dtype=bool)
         for lo, hi in edges:
             if not (0 <= lo < n and 0 <= hi < n):

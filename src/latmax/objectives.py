@@ -158,7 +158,10 @@ class PCAObjective(_EnergyObjective):
         return self.value_from_energies(energies)
 
     def value(self, lat: FiniteLattice, e) -> float:
-        return self.value_of_subspace(_subspace_payload(lat, e))
+        payload = lat.payload(e)
+        if not isinstance(payload, Subspace):
+            raise TypeError("objective needs subspace payloads")
+        return self.value_of_subspace(payload)
 
     def energy_bound(self):
         """Upper bound on the value of a subspace capturing q energy in
@@ -261,7 +264,7 @@ class QuantumCutObjective(_EnergyObjective):
         p = np.asarray(energies, dtype=float)
         q = (self.vertex_norms[:, None] if p.ndim > 1 else self.vertex_norms) - p
         src = p[self._src]
-        dst = np.clip(q[self._dst], 0.0, None)
+        dst = np.maximum(q[self._dst], 0.0)
         if p.ndim > 1:
             return (self._w[:, None] * src * dst).sum(axis=0)
         return (self._w * src * dst).sum(axis=0)
@@ -273,17 +276,13 @@ class QuantumCutObjective(_EnergyObjective):
         """None: no bound on the cut from the captured energy alone."""
         return None
 
-    def value_of_mask(self, mask: int) -> float:
-        inside = np.array([bool(mask >> i & 1) for i in range(self.graph.n_vertices)])
-        p = np.where(inside, self.vertex_norms, 0.0)
-        q = np.where(~inside, self.vertex_norms, 0.0)
-        return float((self._w * p[self._src] * q[self._dst]).sum())
-
     def value(self, lat: FiniteLattice, e) -> float:
         payload = lat.payload(e)
         if isinstance(payload, Subspace):
             return self.value_of_subspace(payload)
-        return self.value_of_mask(int(payload))
+        # a vertex set captures its members' whole energy and no other
+        bits = int(payload) >> np.arange(self.graph.n_vertices) & 1
+        return float(self.value_from_energies(self.vertex_norms * bits))
 
 
 class TableObjective:
@@ -296,13 +295,6 @@ class TableObjective:
 
     def value(self, lat: FiniteLattice, e) -> float:
         return float(self.values[e])
-
-
-def _subspace_payload(lat, e) -> Subspace:
-    payload = lat.payload(e)
-    if not isinstance(payload, Subspace):
-        raise TypeError("objective needs subspace payloads")
-    return payload
 
 
 class ModularCost:

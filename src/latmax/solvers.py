@@ -43,6 +43,9 @@ from latmax.subspaces import (
 class ExactEigen:
     """Closed-form inner step through the residual scatter matrix."""
 
+    def describe(self) -> str:
+        return "exact-eigen"
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -58,27 +61,50 @@ class Grid:
         if self.refine_rounds < 0:
             raise ValueError(f"grid refine rounds must be nonnegative, got {self.refine_rounds}")
 
+    def describe(self) -> str:
+        return f"grid:{self.width}" + (
+            f"+refine{self.refine_rounds}" if self.refine_rounds else "")
+
+    def columns(self, dim) -> float:
+        """Candidate columns one search in R^dim builds, counted without
+        building any: the grid's points plus 11^dim per refinement round.
+        An axis holds ceil((stop - start) / width) points, as np.arange
+        counts them in draw; a width too small for that ratio to be finite
+        counts as infinitely many."""
+        w = self.width
+        first, rest = (((1.0 + w / 2) - start) / w for start in (0.0, -1.0))
+        if math.isinf(rest):
+            return math.inf
+        return math.ceil(first) * math.ceil(rest) ** (dim - 1) + self.refine_rounds * 11 ** dim
+
+    def draw(self, dim, rng) -> np.ndarray:
+        """The grid's points in R^dim as raw columns; rng is not used."""
+        w = self.width
+        first = np.arange(0.0, 1.0 + w / 2, w)
+        rest = np.arange(-1.0, 1.0 + w / 2, w)
+        return _grid_points([first] + [rest] * (dim - 1))
+
 
 @dataclass(frozen=True)
 class RandomRestart:
     """Uniformly random unit directions, drawn from the solver's rng."""
 
     samples: int = 8192
+    refine_rounds = 0  # draws are never refined; a class constant, not a field
 
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"random strategy needs at least one sample, got {self.samples}")
 
+    def describe(self) -> str:
+        return f"random:{self.samples}"
 
-def describe_strategy(strategy) -> str:
-    if isinstance(strategy, ExactEigen):
-        return "exact-eigen"
-    if isinstance(strategy, Grid):
-        return f"grid:{strategy.width}" + (
-            f"+refine{strategy.refine_rounds}" if strategy.refine_rounds else "")
-    if isinstance(strategy, RandomRestart):
-        return f"random:{strategy.samples}"
-    return "exhaustive"
+    def columns(self, dim) -> int:
+        return self.samples
+
+    def draw(self, dim, rng) -> np.ndarray:
+        """Standard normal raw columns in R^dim from rng."""
+        return rng.normal(size=(dim, self.samples))
 
 
 def spec_fields(spec: str, *forms: str):
@@ -125,12 +151,6 @@ class SolveReport:
         return asdict(self)
 
 
-def _grid_axes(width, dim):
-    first = np.arange(0.0, 1.0 + width / 2, width)
-    rest = np.arange(-1.0, 1.0 + width / 2, width)
-    return [first] + [rest] * (dim - 1)
-
-
 def _grid_points(axes):
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh])
@@ -159,24 +179,6 @@ def _slice_width(n_rows):
 _MAX_COLUMNS = 1 << 25
 
 
-def _search_columns(strategy, dim):
-    """Candidate columns one direction search in R^dim builds, counted
-    without building any: the random draws, or the grid's points plus
-    11^dim per refinement round. A grid axis holds
-    ceil((stop - start) / width) points, as np.arange counts them in
-    _grid_axes; a width too small for that ratio to be finite counts as
-    infinitely many."""
-    if isinstance(strategy, RandomRestart):
-        return strategy.samples
-    if not isinstance(strategy, Grid):
-        raise ValueError(f"strategy {strategy!r} cannot propose directions")
-    w = strategy.width
-    first, rest = (((1.0 + w / 2) - start) / w for start in (0.0, -1.0))
-    if math.isinf(rest):
-        return math.inf
-    return math.ceil(first) * math.ceil(rest) ** (dim - 1) + strategy.refine_rounds * 11 ** dim
-
-
 def _subspace_setup(obj, d, strategy, seed, *, eigen_default):
     """The strategy, rng and report meta both subspace solvers start from.
     Without a strategy, the eigenvector step when eigen_default and obj is
@@ -192,24 +194,16 @@ def _subspace_setup(obj, d, strategy, seed, *, eigen_default):
     if isinstance(strategy, ExactEigen):
         if type(obj) is not PCAObjective:
             raise ValueError("the eigenvector step needs a plain quadratic objective")
-    elif (columns := _search_columns(strategy, d)) > _MAX_COLUMNS:
-        raise ValueError(f"{describe_strategy(strategy)} in R^{d} would build {columns:,} "
+    elif (columns := strategy.columns(d)) > _MAX_COLUMNS:
+        raise ValueError(f"{strategy.describe()} in R^{d} would build {columns:,} "
                          f"candidate directions, above the cap of {_MAX_COLUMNS:,}")
-    meta = {"strategy": describe_strategy(strategy), "ambient_dim": d, "seed": seed}
+    meta = {"strategy": strategy.describe(), "ambient_dim": d, "seed": seed}
     return strategy, np.random.default_rng(seed), meta
 
 
-def _directions(strategy, dim, rng):
-    """Raw candidate columns for one direction search in R^dim: the
-    strategy's standard normal draws, or its grid points."""
-    if isinstance(strategy, RandomRestart):
-        return rng.normal(size=(dim, strategy.samples))
-    return _grid_points(_grid_axes(strategy.width, dim))
-
-
 def _best_direction(raw, strategy, propose, score, n_rows, bound=None, gap=None):
-    """Best unit direction among the raw candidate columns (_directions),
-    then, for a refined Grid, among finer grids around the best so far.
+    """Best unit direction among the raw candidate columns (the strategy's
+    draw), then, for a refined Grid, among finer grids around the best so far.
 
     propose maps raw columns to unit columns, score maps unit columns to
     their scores on n_rows data rows, and bound, if given, to upper bounds
@@ -221,7 +215,7 @@ def _best_direction(raw, strategy, propose, score, n_rows, bound=None, gap=None)
     two counting the unit columns proposed and scored exactly.
     """
     width = _slice_width(n_rows)
-    rounds = strategy.refine_rounds if isinstance(strategy, Grid) else 0
+    rounds = strategy.refine_rounds
     step = strategy.width if rounds else None
     best_s, best_u, candidates, evaluated = -np.inf, None, 0, 0
     for r in range(rounds + 1):
@@ -378,7 +372,7 @@ def _greedy_height_vector(obj, lat: VectorLattice, k, strategy, seed) -> SolveRe
                 q = np.einsum("ij,ij->j", units, obj.scatter @ units) + offset
                 return bound_of(q)
             _, unit, candidates, evaluated = _best_direction(
-                _directions(strategy, d, rng), strategy, propose,
+                strategy.draw(d, rng), strategy, propose,
                 _scorer(obj, energies, 1), len(energies),
                 None if bound_of is None else bound)
         if unit is None:
@@ -505,7 +499,7 @@ def _double_greedy_vector(obj, lat: VectorLattice, strategy, seed) -> SolveRepor
             up_unit, up_v = gap @ v[:, -1], fa + float(w[-1])
             down_unit, down_v = gap @ v[:, 0], fb - float(w[0])
         else:
-            raw = _directions(strategy, gap.shape[1], rng)
+            raw = strategy.draw(gap.shape[1], rng)
 
             def propose(raw):
                 return gap @ _unitize(raw)

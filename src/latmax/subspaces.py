@@ -97,10 +97,6 @@ class Direction:
     def __setattr__(self, name, value):
         raise AttributeError("Direction is immutable")
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.vector.shape[0]
-
     def __repr__(self):
         return f"Direction({np.array2string(self.vector, precision=4)})"
 
@@ -165,10 +161,6 @@ class VectorLattice:
 
     def top(self) -> Subspace:
         return Subspace.top(self.d)
-
-    def incrementality(self) -> int:
-        # joining one line raises dimension by at most one
-        return 1
 
 
 def load_vectors_csv(path) -> np.ndarray:

@@ -21,6 +21,9 @@ costs by the chain walk and the exhaustive oracle as one feasibility test
 and one value per element, which the cost vector and the feasibility mask
 replaced. An explicit lattice's join and meet tables by a scan of the
 common bounds of every pair, which one linear extension replaced.
+The quantum cut of a vertex set by its own membership formula, and the
+cut from energies with its target energies clipped by `np.clip`, which
+one formula with `np.maximum` replaced.
 Subspace containment and the cover pairs of a finite lattice,
 which the library does not need.
 The differential tests run them as oracles against the table-driven
@@ -614,3 +617,24 @@ def brute_force_max(obj, lat, *, height_cap=None, cost=None, budget=None) -> Bru
     if best is None:
         raise ValueError("no feasible element")
     return BruteForceResult(best, float(best_v), feasible)
+
+
+def cut_value_of_mask(obj, mask: int) -> float:
+    """`QuantumCutObjective.value` of a vertex set, from the membership of
+    each vertex: inside it captures its whole energy, outside none."""
+    inside = np.array([bool(mask >> i & 1) for i in range(obj.graph.n_vertices)])
+    p = np.where(inside, obj.vertex_norms, 0.0)
+    q = np.where(~inside, obj.vertex_norms, 0.0)
+    return float((obj._w * p[obj._src] * q[obj._dst]).sum())
+
+
+def cut_value_from_energies(obj, energies):
+    """`QuantumCutObjective.value_from_energies` with the target energies
+    clipped at zero by `np.clip`."""
+    p = np.asarray(energies, dtype=float)
+    q = (obj.vertex_norms[:, None] if p.ndim > 1 else obj.vertex_norms) - p
+    src = p[obj._src]
+    dst = np.clip(q[obj._dst], 0.0, None)
+    if p.ndim > 1:
+        return (obj._w[:, None] * src * dst).sum(axis=0)
+    return (obj._w * src * dst).sum(axis=0)

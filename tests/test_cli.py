@@ -231,6 +231,38 @@ class TestInputErrors:
         assert rc == 2
         self._one_error_line(capsys, "8192 elements", "cap 4096")
 
+    @pytest.mark.parametrize("objective, lattice, words", [
+        ("table", "set:2", "dictionary span lattice"),
+        ("table", "dictionary", "pca or gpca objective"),
+        ("qcut", "dictionary", "pca or gpca objective"),
+    ])
+    def test_saturation_check_on_an_input_it_cannot_check(self, objective, lattice, words,
+                                                          tmp_path, table_json, capsys):
+        if lattice == "dictionary":
+            # four spans in R^2, and three vertices with the graph_json fixture's edges
+            lattice = tmp_path / "lattice.json"
+            lattice.write_text(json.dumps({"kind": "dictionary", "atoms": np.eye(2).tolist()}))
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"vertices": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                                     "edges": [[0, 1, 2.0], [1, 2, 1.0], [2, 0, 0.5]]}))
+        rc = main(["diagnose", "--objective", objective, "--lattice", str(lattice),
+                   "--table", str(table_json), "--graph", str(graph), "--check-saturation"])
+        assert rc == 2
+        self._one_error_line(capsys, "saturation bound", words)
+
+    @pytest.mark.parametrize("n", [4097, 1_000_000])
+    def test_explicit_lattice_above_the_scan_cap(self, n, tmp_path, table_json, capsys,
+                                                 monkeypatch):
+        def no_array(*args, **kwargs):
+            raise AssertionError("built the order matrix")
+        monkeypatch.setattr(np, "eye", no_array)
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps({"kind": "explicit", "n": n, "cover_edges": []}))
+        rc = main(["greedy", "--objective", "table", "--lattice", str(path),
+                   "--table", str(table_json), "--k", "1"])
+        assert rc == 2
+        self._one_error_line(capsys, str(path), f"{n} elements", "scan cap 4096")
+
     @pytest.mark.parametrize("command", [
         ["oracle"], ["oracle", "--budget", "1"], ["diagnose", "--direction", "all"]])
     def test_exhaustive_scans_on_the_subspace_lattice(self, command, tmp_path, capsys):
@@ -449,6 +481,43 @@ class TestInputErrors:
                           "--table", str(table_json), "--k", "1"],
         }[flag]
 
+    @pytest.mark.parametrize("flag, doc, words", [
+        ("--lattice", {"kind": "explicit", "n": 3, "cover_edges": [[0, 1, 2]]},
+         ["'cover_edges'", "pairs"]),
+        ("--lattice", {"kind": "explicit", "n": 2, "cover_edges": [[0, 1], [1, 0]]},
+         ["antisymmetric"]),
+        ("--lattice", {"kind": "foo"}, ["unknown lattice kind 'foo'"]),
+        ("--graph", {"vertices": np.eye(2).tolist(), "edges": [[0, 1]]}, ["'edges'", "triples"]),
+        ("--rho", {"kind": "capped", "threshold": 1.0, "slope": 2}, ["slope in [0, 1]"]),
+        ("--rho", {"kind": "saturating_family", "thresholds": [1.0] * 40, "slope": 2},
+         ["slope must lie in [0, 1]"]),
+        ("--rho", {"kind": "foo"}, ["unknown reshaping kind 'foo'"]),
+    ])
+    def test_json_input_that_fails_its_check(self, flag, doc, words, tmp_path, table_json,
+                                             data_csv, capsys):
+        argv = self._json_input_argv(flag, doc, tmp_path, table_json, data_csv)
+        assert main(argv) == 2
+        self._one_error_line(capsys, argv[argv.index(flag) + 1], *words)
+
+    @pytest.mark.parametrize("argv, words", [
+        (["greedy", "--objective", "table", "--lattice", "set:2", "--k", "1"],
+         "requires --table"),
+        (["greedy", "--objective", "qcut", "--lattice", "set:2", "--k", "1"],
+         "requires --graph"),
+        (["greedy", "--objective", "table", "--lattice", "set:21", "--table", "TABLE",
+          "--k", "1"], "2^20"),
+        (["greedy", "--objective", "table", "--lattice", "set:-1", "--table", "TABLE",
+          "--k", "1"], "nonnegative"),
+        (["knapsack", "--objective", "table", "--lattice", "set:2", "--table", "TABLE",
+          "--budget", "1", "--cost", "COST"], "bottom exceeds the budget"),
+    ])
+    def test_run_that_fails_its_check(self, argv, words, tmp_path, table_json, capsys):
+        cost = tmp_path / "cost.json"
+        cost.write_text(json.dumps({"base": 2.0, "increments": {"1": 1.0, "2": 1.0}}))
+        files = {"TABLE": str(table_json), "COST": str(cost)}
+        assert main([files.get(a, a) for a in argv]) == 2
+        self._one_error_line(capsys, words)
+
     def test_knots_that_bend_upward_past_ten(self, tmp_path, table_json, data_csv, capsys):
         doc = {"kind": "knots", "t": [0.0, 1.0, 20.0, 21.0], "y": [0.0, 1.0, 1.5, 10.0]}
         argv = self._json_input_argv("--rho", doc, tmp_path, table_json, data_csv)
@@ -522,7 +591,7 @@ class TestInputErrors:
 
         def no_grid(*args):
             raise AssertionError("built the candidate grid")
-        monkeypatch.setattr(solvers, "_grid_axes", no_grid)
+        monkeypatch.setattr(solvers.Grid, "draw", no_grid)
         monkeypatch.setattr(solvers, "_grid_points", no_grid)
         monkeypatch.setattr(np.random, "default_rng", lambda seed=None: NoDraws())
         rc = main([command, "--objective", "gpca", "--lattice", "vector:3",

@@ -16,7 +16,9 @@ Modular costs against the chain walk, bit for bit, and the exhaustive
 oracle against its one-element-at-a-time loop, ties included.
 Greedy's bound-pruned direction search against the full sweep that
 scoring without each objective's energy bound gives: byte-identical
-reports."""
+reports. The quantum cut of every vertex set, and of energies past the
+vertices' own, against the membership formula and the `np.clip` form
+that one formula replaced: equal bits, -0.0 included."""
 
 import json
 from functools import cache
@@ -45,6 +47,7 @@ from latmax.objectives import (
     QuantumCutObjective,
     SaturatingFamily,
     TableObjective,
+    WeightedDigraph,
     fractional_energy_family,
 )
 from latmax.oracle import brute_force_max
@@ -624,3 +627,50 @@ def test_pruned_direction_search_matches_full_sweep(dim_strategy, n, shape, kind
         assert 0 < got.pop("evaluated") <= got["candidates"]
         assert want.pop("evaluated") == want["candidates"]
     assert json.dumps(pruned) == json.dumps(full)
+
+
+@st.composite
+def cut_objectives(draw):
+    """A quantum cut on 1 to 8 vertices in R^1 to R^3, some of them zero
+    vectors, with negative, zero (either sign) and positive edge weights,
+    self-loops included."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    row = st.just([0.0] * d) | st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)
+    weight = st.sampled_from([-1.0, -0.0, 0.0, 1.0]) | st.floats(-3.0, 3.0)
+    edges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+    return QuantumCutObjective(WeightedDigraph(
+        np.array([draw(row) for _ in range(n)]), tuple(draw(st.lists(edges, max_size=12)))))
+
+
+def same_bits(got, want):
+    return np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_objectives())
+def test_cut_of_every_vertex_set_matches_the_membership_formula(obj):
+    lat = SetLattice(obj.graph.n_vertices)
+    assert same_bits([obj.value(lat, m) for m in range(lat.n)],
+                     [ref.cut_value_of_mask(obj, m) for m in range(lat.n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cut_objectives(), st.integers(0, 4),
+       st.lists(st.floats(0.0, 20.0), min_size=32, max_size=32),
+       st.lists(st.integers(0, 2), min_size=32, max_size=32))
+# one edge whose target energy is past its own, so its term is clamped
+@example(QuantumCutObjective(WeightedDigraph(np.eye(2), ((0, 1, 1.0),))), 1,
+         [1.0, 0.0, 0.0, 0.0, 5.0] + [0.0] * 27, [2] * 32)
+def test_cut_from_energies_matches_the_clipped_formula(obj, columns, free, pick):
+    # energies of up to 8 vertices and 4 columns, read off the drawn 8 x 4
+    # grids; columns 0 is one 1-D vector. Each energy is zero (pick 0),
+    # exactly the vertex's own (1), or from zero to past the largest
+    # vertex energy (2)
+    n = obj.graph.n_vertices
+    pick, free = (np.reshape(a, (8, 4))[:n, :max(columns, 1)] for a in (pick, free))
+    energies = np.select([pick == 0, pick == 1], [0.0, obj.vertex_norms[:, None]], free)
+    if not columns:
+        energies = energies[:, 0]
+    assert same_bits(obj.value_from_energies(energies),
+                     ref.cut_value_from_energies(obj, energies))

@@ -173,6 +173,16 @@ class TestExplicitLattice:
         with pytest.raises(ValueError, match="missing element"):
             ExplicitLattice.from_cover_edges(3, [(0, 1), edge])
 
+    @pytest.mark.parametrize("leq, words", [
+        (np.ones((2, 3), dtype=bool), "square"),
+        (np.triu(np.ones((3, 3), dtype=bool)) & ~np.eye(3, dtype=bool), "reflexive"),
+        # 0 <= 1 <= 2 without 0 <= 2
+        (np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool), "transitive"),
+    ])
+    def test_rejects_an_order_matrix_that_is_no_order(self, leq, words):
+        with pytest.raises(ValueError, match=words):
+            ExplicitLattice(leq)
+
     def test_hasse_recovers_cover_edges(self, n5):
         assert covers(n5) == [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)]
 

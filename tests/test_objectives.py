@@ -194,17 +194,17 @@ class TestQuantumCut:
         return WeightedDigraph(np.eye(3), ((0, 1, 2.0), (1, 2, 1.0), (2, 0, 0.5)))
 
     def test_classical_reduction_on_masks(self):
-        obj = QuantumCutObjective(self.graph3())
-        assert obj.value_of_mask(0b001) == 2.0
-        assert obj.value_of_mask(0b011) == 1.0
-        assert obj.value_of_mask(0b000) == 0.0
-        assert obj.value_of_mask(0b111) == 0.0
+        obj, lat = QuantumCutObjective(self.graph3()), SetLattice(3)
+        assert obj.value(lat, 0b001) == 2.0
+        assert obj.value(lat, 0b011) == 1.0
+        assert obj.value(lat, 0b000) == 0.0
+        assert obj.value(lat, 0b111) == 0.0
 
     def test_axis_subspaces_agree_with_masks(self):
         obj = QuantumCutObjective(self.graph3())
         span01 = Subspace(np.eye(3)[:, :2])
-        assert abs(obj.value_of_subspace(span01) - obj.value_of_mask(0b011)) < 1e-12
         lat = SetLattice(3)
+        assert abs(obj.value_of_subspace(span01) - obj.value(lat, 0b011)) < 1e-12
         assert obj.value(lat, 0b001) == 2.0
 
     def test_matches_complement_projector_oracle(self, rng):
@@ -217,7 +217,8 @@ class TestQuantumCut:
 
     def test_not_monotone(self):
         obj = QuantumCutObjective(self.graph3())
-        assert obj.value_of_mask(0b001) > obj.value_of_mask(0b111)
+        lat = SetLattice(3)
+        assert obj.value(lat, 0b001) > obj.value(lat, 0b111)
 
     def test_graph_json_and_validation(self):
         g = self.graph3()
@@ -234,8 +235,8 @@ class TestQuantumCut:
                                             "edges": [[0, 1, 3.0], [1, 0, 1.0]]})
         assert g.edges == classical_graph([[0.0, 3.0], [1.0, 0.0]]).edges
         obj = QuantumCutObjective(g)
-        assert obj.value_of_mask(0b01) == 3.0
-        assert obj.value_of_mask(0b10) == 1.0
+        assert obj.value(SetLattice(2), 0b01) == 3.0
+        assert obj.value(SetLattice(2), 0b10) == 1.0
 
 
 class TestModularCost:

@@ -24,9 +24,6 @@ from latmax.solvers import (
     ExactEigen,
     Grid,
     RandomRestart,
-    _grid_axes,
-    _grid_points,
-    _search_columns,
     double_greedy,
     greedy_height,
     greedy_knapsack,
@@ -293,7 +290,7 @@ class TestGreedyKnapsack:
 
 def cut_values(graph, n):
     obj = QuantumCutObjective(graph)
-    return [obj.value_of_mask(m) for m in range(1 << n)]
+    return [obj.value(SetLattice(n), m) for m in range(1 << n)]
 
 
 class TestDoubleGreedyFinite:
@@ -385,17 +382,17 @@ class TestSearchSize:
     @pytest.mark.parametrize("width", [2.0, 0.5, 1 / 3, 0.3, 0.1, 0.07, 0.05])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_counts_the_columns_the_grid_builds(self, width, dim):
-        built = _grid_points(_grid_axes(width, dim)).shape[1]
-        assert _search_columns(Grid(width), dim) == built
-        assert _search_columns(Grid(width, refine_rounds=2), dim) == built + 2 * 11 ** dim
+        built = Grid(width).draw(dim, None).shape[1]
+        assert Grid(width).columns(dim) == built
+        assert Grid(width, refine_rounds=2).columns(dim) == built + 2 * 11 ** dim
 
     def test_cap_admits_every_search_in_use(self):
         # the default grid at d = 4, acceptance 02's grid, and the benchmark's
         # grid and random draws
-        assert _search_columns(Grid(), 4) == 41 * 81 ** 3 <= _MAX_COLUMNS
-        assert _search_columns(Grid(0.025), 3) == 41 * 81 * 81
-        assert _search_columns(Grid(0.05), 3) == 35_301
-        assert _search_columns(RandomRestart(8192), 16) == 8192
+        assert Grid().columns(4) == 41 * 81 ** 3 <= _MAX_COLUMNS
+        assert Grid(0.025).columns(3) == 41 * 81 * 81
+        assert Grid(0.05).columns(3) == 35_301
+        assert RandomRestart(8192).columns(16) == 8192
 
 
 class TestStrategyParsing:

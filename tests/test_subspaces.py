@@ -146,7 +146,6 @@ class TestVectorLattice:
         vl = VectorLattice(4)
         assert vl.bottom().dim == 0
         assert vl.top().dim == vl.ambient_dim == 4
-        assert vl.incrementality() == 1
 
     def test_modular_law_with_constraint(self, rng):
         # x <= b: x join (a meet b) equals (x join a) meet b
